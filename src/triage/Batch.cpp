@@ -69,11 +69,19 @@ TraceIngest wr::triage::ingestTraceFile(const std::string &Path,
 
   // Sign the kept observed races; suppression drops are counted, never
   // silent - they land in this trace's FilterAttrition (and so in every
-  // merged aggregate downstream).
-  auto Suppressed = [&](const RaceSignature &Sig) {
+  // merged aggregate downstream). Suppressions are matched once per
+  // distinct signature and counted per race.
+  SignatureTable Table(Result.Hb);
+  constexpr int Unmatched = -2;
+  std::vector<int> SuppressionOf; // By table index; -1 when none matches.
+  auto Suppressed = [&](uint32_t Sig) {
     if (!Opts.Suppressions)
       return false;
-    int Idx = Opts.Suppressions->matchIndex(Sig);
+    if (Sig >= SuppressionOf.size())
+      SuppressionOf.resize(Table.size(), Unmatched);
+    if (SuppressionOf[Sig] == Unmatched)
+      SuppressionOf[Sig] = Opts.Suppressions->matchIndex(Table.signature(Sig));
+    int Idx = SuppressionOf[Sig];
     if (Idx < 0)
       return false;
     ++In.SuppressionHits[static_cast<size_t>(Idx)];
@@ -84,10 +92,10 @@ TraceIngest wr::triage::ingestTraceFile(const std::string &Path,
   std::vector<detect::Race> KeptRaces;
   KeptRaces.reserve(Result.FilteredRaces.size());
   for (const detect::Race &R : Result.FilteredRaces) {
-    RaceSignature Sig = computeSignature(R, Result.Hb);
+    uint32_t Sig = Table.sign(R);
     if (Suppressed(Sig))
       continue;
-    In.Kept.push_back({std::move(Sig), toString(R.Loc)});
+    In.Kept.push_back({Table.signature(Sig), toString(R.Loc)});
     KeptRaces.push_back(R);
   }
   if (size_t Dropped = Result.FilteredRaces.size() - KeptRaces.size()) {
@@ -100,14 +108,25 @@ TraceIngest wr::triage::ingestTraceFile(const std::string &Path,
   // Predicted-only findings get the same signature/suppression treatment;
   // their drops stay out of FilterAttrition (they never entered the
   // filter pipeline's input) and reconcile through the triage section.
+  // Each finding is stored as an index into the trace's distinct
+  // predicted signatures.
+  constexpr uint32_t NoSlot = ~0u;
+  std::vector<uint32_t> SlotOf; // By table index.
   for (const detect::PredictionResult &P : Result.Predictions) {
     for (const detect::PredictedRace &PR : P.Races) {
       if (PR.Verdict != detect::PredictionVerdict::Predicted)
         continue;
-      RaceSignature Sig = computeSignature(PR.R, Result.Hb);
+      uint32_t Sig = Table.sign(PR.R);
       if (Suppressed(Sig))
         continue;
-      In.Predicted.push_back({std::move(Sig), toString(PR.R.Loc)});
+      if (Sig >= SlotOf.size())
+        SlotOf.resize(Table.size(), NoSlot);
+      if (SlotOf[Sig] == NoSlot) {
+        SlotOf[Sig] = static_cast<uint32_t>(In.PredictedSignatures.size());
+        In.PredictedSignatures.push_back(
+            {Table.signature(Sig), toString(PR.R.Loc)});
+      }
+      In.Predicted.push_back(SlotOf[Sig]);
     }
   }
   return In;
@@ -191,10 +210,15 @@ BatchResult wr::triage::runBatch(const std::vector<std::string> &Paths,
       ++R.TotalKept;
       Touch(Idx);
     }
-    for (const WitnessRace &W : In.Predicted) {
-      size_t Idx = GroupFor(W, In.Path);
-      ++R.Groups[Idx].PredictedOccurrences;
-      ++R.TotalPredicted;
+    // Predicted-only findings merge once per distinct signature of the
+    // trace and add their counts.
+    std::vector<uint64_t> Counts(In.PredictedSignatures.size(), 0);
+    for (uint32_t Slot : In.Predicted)
+      ++Counts[Slot];
+    for (size_t Slot = 0; Slot < Counts.size(); ++Slot) {
+      size_t Idx = GroupFor(In.PredictedSignatures[Slot], In.Path);
+      R.Groups[Idx].PredictedOccurrences += Counts[Slot];
+      R.TotalPredicted += Counts[Slot];
       Touch(Idx);
     }
   }

@@ -53,22 +53,30 @@ struct BatchOptions {
   const SuppressionFile *Suppressions = nullptr;
 };
 
-/// One kept race's evidence for the merge: its signature plus the
-/// human-readable location of the concrete witness.
+/// A signature plus the human-readable location of a concrete witness.
 struct WitnessRace {
   RaceSignature Sig;
   std::string Location;
 };
 
 /// What one trace file contributed.
+///
+/// Kept races are few and each carries its own witness. Predicted-only
+/// findings run to thousands per trace over a handful of signatures, so
+/// each one is stored as a 32-bit index into PredictedSignatures: the
+/// trace's distinct predicted signatures, in order of first finding, each
+/// with the location of that first finding. Both lists exclude suppressed
+/// races.
 struct TraceIngest {
   std::string Path;
   bool Ok = false;
   std::string Error; ///< Read/decode failure diagnostic when !Ok.
   obs::RunStats Stats;
-  std::vector<WitnessRace> Kept;      ///< Post-filter, post-suppression.
-  std::vector<WitnessRace> Predicted; ///< Predicted-only findings.
-  uint64_t Suppressed = 0;            ///< Observed + predicted drops.
+  std::vector<WitnessRace> Kept; ///< Post-filter, post-suppression.
+  /// Predicted-only findings: one index into PredictedSignatures each.
+  std::vector<uint32_t> Predicted;
+  std::vector<WitnessRace> PredictedSignatures; ///< Distinct, first-seen.
+  uint64_t Suppressed = 0; ///< Observed + predicted drops.
   std::vector<uint64_t> SuppressionHits; ///< Per suppression entry.
 };
 
@@ -102,6 +110,8 @@ bool listTraceFiles(const std::string &Dir, std::vector<std::string> &Out,
                     std::string &Error);
 
 /// Ingests one trace file: read, decode, replay, filter, sign, suppress.
+/// Signing goes through one SignatureTable per trace, so suppressions are
+/// matched once per distinct signature (hits still count per race).
 TraceIngest ingestTraceFile(const std::string &Path,
                             const BatchOptions &Opts);
 

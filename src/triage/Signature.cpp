@@ -5,7 +5,6 @@
 #include "support/Format.h"
 
 #include <algorithm>
-#include <vector>
 
 using namespace wr;
 using namespace wr::triage;
@@ -140,6 +139,32 @@ std::string endpointShape(const Access &A, const HbGraph &Hb) {
                    triggerTag(Op.Trigger));
 }
 
+/// One endpoint's (shape, context) components.
+std::pair<std::string, std::string> endpointParts(const Access &A,
+                                                  const HbGraph &Hb) {
+  return {endpointShape(A, Hb), contextOf(A.Op, Hb)};
+}
+
+/// Assembles a signature from its components. The endpoints go in
+/// canonical order: sorting the (shape, context) pairs makes the signature
+/// independent of which endpoint the detector stored in its slot first (an
+/// artifact of OpId numbering and schedule).
+RaceSignature assemble(detect::RaceKind Kind, std::string Location,
+                       const std::pair<std::string, std::string> &A,
+                       const std::pair<std::string, std::string> &B) {
+  bool Swap = B < A;
+  const auto &Lo = Swap ? B : A;
+  const auto &Hi = Swap ? A : B;
+  RaceSignature Sig;
+  Sig.Kind = detect::toString(Kind);
+  Sig.Location = std::move(Location);
+  Sig.Access = Lo.first + " + " + Hi.first;
+  Sig.Context = Lo.second + " + " + Hi.second;
+  return Sig;
+}
+
+constexpr uint32_t NoId = ~0u;
+
 } // namespace
 
 std::string RaceSignature::text() const {
@@ -173,19 +198,57 @@ std::string RaceSignature::id() const {
 
 RaceSignature wr::triage::computeSignature(const detect::Race &R,
                                            const HbGraph &Hb) {
-  RaceSignature Sig;
-  Sig.Kind = detect::toString(R.Kind);
-  Sig.Location = locationPattern(R.Loc);
-  // Canonical endpoint order: sort the (shape, context) pairs so the
-  // signature does not depend on which endpoint the detector stored in
-  // its slot first (an artifact of OpId numbering and schedule).
-  std::pair<std::string, std::string> A{endpointShape(R.First, Hb),
-                                        contextOf(R.First.Op, Hb)};
-  std::pair<std::string, std::string> B{endpointShape(R.Second, Hb),
-                                        contextOf(R.Second.Op, Hb)};
-  if (B < A)
-    std::swap(A, B);
-  Sig.Access = A.first + " + " + B.first;
-  Sig.Context = A.second + " + " + B.second;
-  return Sig;
+  return assemble(R.Kind, locationPattern(R.Loc), endpointParts(R.First, Hb),
+                  endpointParts(R.Second, Hb));
+}
+
+uint32_t SignatureTable::sign(const detect::Race &R) {
+  uint32_t A = endpointOf(R.First);
+  uint32_t B = endpointOf(R.Second);
+  Key K{static_cast<uint32_t>(R.Kind), patternOf(R), std::min(A, B),
+        std::max(A, B)};
+  auto [It, Inserted] =
+      SignatureOf.try_emplace(K, static_cast<uint32_t>(Signatures.size()));
+  if (Inserted)
+    Signatures.push_back(
+        assemble(R.Kind, Patterns[K.Pattern], Endpoints[A], Endpoints[B]));
+  return It->second;
+}
+
+uint32_t SignatureTable::patternOf(const detect::Race &R) {
+  // The detector and the predictive passes both resolve R.Loc from the
+  // second access's LocId; hand-built races without one are signed
+  // directly.
+  LocId Loc = R.Second.Loc;
+  if (Loc == InvalidLocId)
+    return internPattern(locationPattern(R.Loc));
+  if (Loc >= PatternOfLoc.size())
+    PatternOfLoc.resize(static_cast<size_t>(Loc) + 1, NoId);
+  if (PatternOfLoc[Loc] == NoId)
+    PatternOfLoc[Loc] = internPattern(locationPattern(R.Loc));
+  return PatternOfLoc[Loc];
+}
+
+uint32_t SignatureTable::internPattern(std::string Pattern) {
+  auto [It, Inserted] = PatternIds.try_emplace(
+      Pattern, static_cast<uint32_t>(Patterns.size()));
+  if (Inserted)
+    Patterns.push_back(std::move(Pattern));
+  return It->second;
+}
+
+uint32_t SignatureTable::endpointOf(const Access &A) {
+  uint64_t Packed = static_cast<uint64_t>(A.Op) << 16 |
+                    static_cast<uint64_t>(A.Kind) << 8 |
+                    static_cast<uint64_t>(A.Origin);
+  auto [It, Inserted] = EndpointOfAccess.try_emplace(Packed, NoId);
+  if (Inserted) {
+    Endpoint Parts = endpointParts(A, Hb);
+    auto [Id, New] = EndpointIds.try_emplace(
+        Parts, static_cast<uint32_t>(Endpoints.size()));
+    if (New)
+      Endpoints.push_back(std::move(Parts));
+    It->second = Id->second;
+  }
+  return It->second;
 }

@@ -40,6 +40,13 @@
 /// text() renders "Kind|Location|Access|Context"; hash()/id() derive a
 /// stable 64-bit FNV-1a fingerprint for compact cross-trace keys.
 ///
+/// computeSignature() signs one race from scratch. SignatureTable signs
+/// every race of one trace and computes each distinct signature once: a
+/// predicted pass yields thousands of findings per trace that share a
+/// handful of signatures, and rebuilding the component strings per finding
+/// is what dominated batch ingest. Both go through the same component
+/// helpers, so each component is defined once.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef WEBRACER_TRIAGE_SIGNATURE_H
@@ -48,8 +55,13 @@
 #include "detect/RaceDetector.h"
 #include "hb/HbGraph.h"
 
+#include <compare>
+#include <map>
 #include <string>
 #include <string_view>
+#include <unordered_map>
+#include <utility>
+#include <vector>
 
 namespace wr::triage {
 
@@ -83,6 +95,60 @@ std::string normalizeSourcePattern(std::string_view Name);
 /// Computes the signature of \p R. \p Hb must be the graph that owns the
 /// race's operation ids (the browser's online, the replay's offline).
 RaceSignature computeSignature(const detect::Race &R, const HbGraph &Hb);
+
+/// The signatures of one trace's races, each distinct one computed once.
+/// sign() returns an index into a table of distinct signatures; equal
+/// signatures share one index.
+///
+/// The table memoizes each signature component on the narrowest key it
+/// depends on: the location pattern per LocId, and an endpoint's (shape,
+/// context) per (operation, access kind, access origin). It interns both by
+/// content, and keys the signature itself on (race kind, pattern id, the
+/// two endpoint ids in id order). Content interning is what makes the last
+/// step pay: keyed on operations instead, every predicted pair would be a
+/// new key.
+///
+/// Every race signed through one table must come from the run that built
+/// \p Hb, so its LocIds name locations of that run's interner. \p Hb must
+/// be finished, and outlive the table: an endpoint's context reads its
+/// operation's in-edges, which must not change after they were first read.
+class SignatureTable {
+public:
+  explicit SignatureTable(const HbGraph &Hb) : Hb(Hb) {}
+
+  /// The index of \p R's signature; equal to computeSignature(R, Hb).
+  uint32_t sign(const detect::Race &R);
+
+  const RaceSignature &signature(uint32_t Index) const {
+    return Signatures[Index];
+  }
+  size_t size() const { return Signatures.size(); }
+
+private:
+  /// One endpoint's (shape, context) components.
+  using Endpoint = std::pair<std::string, std::string>;
+
+  /// (race kind, pattern id, lower endpoint id, higher endpoint id).
+  struct Key {
+    uint32_t Kind = 0, Pattern = 0, Lo = 0, Hi = 0;
+    auto operator<=>(const Key &O) const = default;
+  };
+
+  uint32_t patternOf(const detect::Race &R);
+  uint32_t internPattern(std::string Pattern);
+  uint32_t endpointOf(const Access &A);
+
+  const HbGraph &Hb;
+  std::vector<uint32_t> PatternOfLoc; ///< By LocId; NoId until computed.
+  std::unordered_map<std::string, uint32_t> PatternIds;
+  std::vector<std::string> Patterns;
+  /// By (operation, access kind, access origin), packed.
+  std::unordered_map<uint64_t, uint32_t> EndpointOfAccess;
+  std::map<Endpoint, uint32_t> EndpointIds;
+  std::vector<Endpoint> Endpoints;
+  std::map<Key, uint32_t> SignatureOf;
+  std::vector<RaceSignature> Signatures;
+};
 
 } // namespace wr::triage
 

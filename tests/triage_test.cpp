@@ -9,7 +9,9 @@
 //    malformed input with line-numbered diagnostics, and drop races
 //    without silent attrition (counts land in FilterCounts, per-entry
 //    hits let unmatched entries warn).
-//  * Batch ingest emits a byte-identical report at every job count.
+//  * Batch ingest emits a byte-identical report at every job count, with
+//    and without prediction, and its counts reconcile with the replays'
+//    own tallies; a --predict batch matches a checked-in golden report.
 //
 //===----------------------------------------------------------------------===//
 
@@ -17,6 +19,7 @@
 #include "obs/Json.h"
 #include "sites/Corpus.h"
 #include "sites/CorpusRunner.h"
+#include "support/Rng.h"
 #include "triage/Batch.h"
 #include "triage/Signature.h"
 #include "triage/Suppression.h"
@@ -25,8 +28,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -47,6 +54,42 @@ std::vector<std::string> signatureTexts(const sites::SiteRunStats &S) {
 sites::GeneratedSite patternSite(const std::string &Name,
                                  std::vector<sites::PatternInstance> Ps) {
   return sites::buildSite({Name, std::move(Ps)});
+}
+
+/// Records the first \p Count sites of the seed-2012 corpus into \p Dir as
+/// site-NNN.wrt, each under a browser seed drawn from Rng(2012).
+void recordCorpusTraces(const fs::path &Dir, size_t Count) {
+  fs::create_directories(Dir);
+  std::vector<sites::GeneratedSite> Corpus =
+      sites::buildFortune100Corpus(2012);
+  ASSERT_LE(Count, Corpus.size());
+  Rng Seeds(2012);
+  for (size_t I = 0; I < Count; ++I) {
+    const sites::GeneratedSite &Site = Corpus[I];
+    webracer::SessionOptions Opts;
+    Opts.RecordTrace = true;
+    Opts.Browser.Seed = Seeds.next();
+    webracer::Session S(Opts);
+    S.network().addResource(Site.IndexUrl, Site.Html, 10);
+    for (const sites::SiteResource &R : Site.Resources)
+      S.network().addResourceWithJitter(R.Url, R.Body, R.MinLatencyUs,
+                                        R.MaxLatencyUs);
+    (void)S.run(Site.IndexUrl);
+    char Name[32];
+    std::snprintf(Name, sizeof(Name), "site-%03zu.wrt", I);
+    std::ofstream Out(Dir / Name, std::ios::binary | std::ios::trunc);
+    std::string Bytes = S.trace()->serialize();
+    Out.write(Bytes.data(), static_cast<std::streamsize>(Bytes.size()));
+    ASSERT_TRUE(Out.good());
+  }
+}
+
+/// Sorted trace paths of \p Dir.
+std::vector<std::string> tracePaths(const fs::path &Dir) {
+  std::vector<std::string> Paths;
+  std::string Error;
+  EXPECT_TRUE(triage::listTraceFiles(Dir.string(), Paths, Error)) << Error;
+  return Paths;
 }
 
 TEST(SignatureTest, NormalizeSourcePatternFoldsDigitRuns) {
@@ -133,6 +176,88 @@ TEST(SignatureTest, HashAndIdAreStableFunctionsOfText) {
   EXPECT_EQ(A.id().size(), 4u + 16u);
   B.Location = "var global.y";
   EXPECT_NE(A.hash(), B.hash());
+}
+
+TEST(SignatureTest, TableAgreesWithOneShotAndSharesIndices) {
+  // The memoized table must sign every race exactly as computeSignature
+  // does - observed (raw and kept) and every SHB and WCP prediction - and
+  // give equal signatures one index.
+  fs::path Dir = fs::temp_directory_path() / "wr_triage_test_table";
+  fs::remove_all(Dir);
+  recordCorpusTraces(Dir, 6);
+  size_t Signed = 0;
+  for (const std::string &Path : tracePaths(Dir)) {
+    std::ifstream File(Path, std::ios::binary);
+    std::ostringstream Bytes;
+    Bytes << File.rdbuf();
+    TraceLog Log;
+    std::string Error;
+    ASSERT_TRUE(TraceLog::deserialize(Bytes.str(), Log, &Error)) << Error;
+    detect::ReplayOptions Opts;
+    Opts.Predict = true;
+    detect::ReplayResult Result = detect::replayTrace(Log, Opts);
+    ASSERT_EQ(Result.Predictions.size(), 2u);
+
+    triage::SignatureTable Table(Result.Hb);
+    std::map<std::string, uint32_t> IndexOfText;
+    auto Check = [&](const detect::Race &R) {
+      uint32_t Index = Table.sign(R);
+      ASSERT_LT(Index, Table.size());
+      triage::RaceSignature Expected = triage::computeSignature(R, Result.Hb);
+      EXPECT_EQ(Table.signature(Index), Expected) << Path;
+      auto [It, New] = IndexOfText.try_emplace(Expected.text(), Index);
+      EXPECT_EQ(It->second, Index) << "two indices for " << Expected.text();
+      ++Signed;
+    };
+    for (const detect::Race &R : Result.RawRaces)
+      Check(R);
+    for (const detect::Race &R : Result.FilteredRaces)
+      Check(R);
+    for (const detect::PredictionResult &P : Result.Predictions)
+      for (const detect::PredictedRace &PR : P.Races)
+        Check(PR.R);
+    EXPECT_EQ(Table.size(), IndexOfText.size()) << Path;
+  }
+  EXPECT_GT(Signed, 1000u);
+  fs::remove_all(Dir);
+}
+
+TEST(SignatureTest, TableKeysEndpointsOnAccessKindAndOrigin) {
+  // One operation reading a location plainly and as a call target, and
+  // writing it: each access is its own endpoint, so the table must not
+  // reuse one endpoint's shape for another of the same operation.
+  HbGraph Hb;
+  Operation Script;
+  Script.Kind = OperationKind::ExecuteScript;
+  Operation Handler;
+  Handler.Kind = OperationKind::EventHandler;
+  Handler.Trigger = TriggerKind::User;
+  OpId Exe = Hb.addOperation(Script);
+  OpId Disp = Hb.addOperation(Handler);
+  Hb.addEdge(Exe, Disp, HbRule::R2_CreateBeforeExe);
+
+  auto RaceOf = [&](AccessKind Kind, AccessOrigin Origin) {
+    detect::Race R;
+    R.Loc = JSVarLoc{0, "doWork_p3"};
+    R.First = {AccessKind::Write, AccessOrigin::FunctionDecl, Exe, 0, ""};
+    R.Second = {Kind, Origin, Disp, 0, ""};
+    R.Kind = detect::classifyRace(R.First, R.Second, R.Loc);
+    return R;
+  };
+  std::vector<detect::Race> Races = {
+      RaceOf(AccessKind::Read, AccessOrigin::Plain),
+      RaceOf(AccessKind::Read, AccessOrigin::FunctionCall),
+      RaceOf(AccessKind::Write, AccessOrigin::Plain),
+      RaceOf(AccessKind::Read, AccessOrigin::Plain)};
+  triage::SignatureTable Table(Hb);
+  std::vector<uint32_t> Index;
+  for (const detect::Race &R : Races) {
+    Index.push_back(Table.sign(R));
+    EXPECT_EQ(Table.signature(Index.back()),
+              triage::computeSignature(R, Hb));
+  }
+  EXPECT_EQ(Table.size(), 3u);
+  EXPECT_EQ(Index[3], Index[0]);
 }
 
 TEST(GlobTest, Matching) {
@@ -268,6 +393,28 @@ void recordTraces(const sites::GeneratedSite &Site, const fs::path &Dir,
   }
 }
 
+/// Predicted-only findings the replays produced, summed over the
+/// aggregate's wr_prediction rows.
+uint64_t aggregatePredicted(const triage::BatchResult &R) {
+  uint64_t Total = 0;
+  for (const obs::PredictionRow &Row : R.Aggregate.Prediction)
+    Total += Row.Predicted.total();
+  return Total;
+}
+
+/// Changes the working directory for one scope, so trace paths (and the
+/// report's first_witness fields) can be relative.
+class ScopedCwd {
+public:
+  explicit ScopedCwd(const fs::path &Dir) : Saved(fs::current_path()) {
+    fs::current_path(Dir);
+  }
+  ~ScopedCwd() { fs::current_path(Saved); }
+
+private:
+  fs::path Saved;
+};
+
 TEST(BatchTest, ByteIdenticalAcrossJobCountsAndCountsReconcile) {
   fs::path Dir =
       fs::temp_directory_path() / "wr_triage_test_batch";
@@ -366,6 +513,141 @@ TEST(BatchTest, SuppressionRemovesGroupAndSurfacesInCounts) {
   // The aggregate's attrition carries the drops (never silent).
   EXPECT_EQ(R.Aggregate.Attrition.Suppressed, Victim.Occurrences);
   fs::remove_all(Dir);
+}
+
+TEST(BatchTest, PredictedByteIdenticalAcrossJobCountsAndCountsReconcile) {
+  fs::path Dir = fs::temp_directory_path() / "wr_triage_test_predicted";
+  fs::remove_all(Dir);
+  recordCorpusTraces(Dir, 6);
+  std::vector<std::string> Paths = tracePaths(Dir);
+  ASSERT_EQ(Paths.size(), 6u);
+
+  std::string Baseline;
+  for (unsigned Jobs : {1u, 2u, 4u, 8u}) {
+    triage::BatchOptions Opts;
+    Opts.Jobs = Jobs;
+    Opts.Replay.Predict = true;
+    triage::BatchResult R = triage::runBatch(Paths, Opts);
+    EXPECT_EQ(R.TracesOk, 6u);
+    // Every predicted-only finding lands in exactly one group, and the
+    // replays' own wr_prediction tallies agree.
+    uint64_t PerTrace = 0;
+    for (const triage::TraceIngest &In : R.Traces)
+      PerTrace += In.Predicted.size();
+    uint64_t Grouped = 0;
+    for (const triage::SignatureGroup &G : R.Groups)
+      Grouped += G.PredictedOccurrences;
+    EXPECT_GT(R.TotalPredicted, 0u);
+    EXPECT_EQ(PerTrace, R.TotalPredicted);
+    EXPECT_EQ(Grouped, R.TotalPredicted);
+    EXPECT_EQ(aggregatePredicted(R), R.TotalPredicted);
+    std::string Doc = obs::writeJson(triage::buildBatchReport("batch", R));
+    if (Baseline.empty())
+      Baseline = Doc;
+    else
+      EXPECT_EQ(Doc, Baseline) << "report differs at jobs=" << Jobs;
+  }
+  fs::remove_all(Dir);
+}
+
+TEST(BatchTest, SuppressingPredictedOnlyGroupLeavesFilterAttrition) {
+  fs::path Dir = fs::temp_directory_path() / "wr_triage_test_predsup";
+  fs::remove_all(Dir);
+  recordCorpusTraces(Dir, 4);
+  std::vector<std::string> Paths = tracePaths(Dir);
+  triage::BatchOptions Opts;
+  Opts.Replay.Predict = true;
+  triage::BatchResult Plain = triage::runBatch(Paths, Opts);
+  auto Victim = std::find_if(
+      Plain.Groups.begin(), Plain.Groups.end(),
+      [](const triage::SignatureGroup &G) {
+        return G.Occurrences == 0 && G.PredictedOccurrences > 0;
+      });
+  ASSERT_NE(Victim, Plain.Groups.end()) << "no predicted-only group";
+
+  triage::SuppressionFile File;
+  File.add({"victim", Victim->Sig.Kind, Victim->Sig.Location,
+            Victim->Sig.Access, Victim->Sig.Context});
+  Opts.Suppressions = &File;
+  triage::BatchResult R = triage::runBatch(Paths, Opts);
+
+  for (const triage::SignatureGroup &G : R.Groups)
+    EXPECT_FALSE(G.Sig == Victim->Sig) << "suppressed group survived";
+  EXPECT_EQ(R.TotalSuppressed, Victim->PredictedOccurrences);
+  ASSERT_EQ(R.SuppressionHits.size(), 1u);
+  EXPECT_EQ(R.SuppressionHits[0], Victim->PredictedOccurrences);
+  EXPECT_TRUE(R.UnmatchedSuppressions.empty());
+  EXPECT_EQ(R.TotalPredicted + R.TotalSuppressed, Plain.TotalPredicted);
+  EXPECT_EQ(R.TotalKept, Plain.TotalKept);
+  uint64_t PerTrace = 0;
+  for (const triage::TraceIngest &In : R.Traces)
+    PerTrace += In.Predicted.size();
+  EXPECT_EQ(PerTrace, R.TotalPredicted);
+  // Predicted-only findings never entered the filter pipeline, so their
+  // drops stay out of FilterAttrition.
+  EXPECT_EQ(R.Aggregate.Attrition, Plain.Aggregate.Attrition);
+  EXPECT_EQ(R.Aggregate.Attrition.Suppressed, 0u);
+  fs::remove_all(Dir);
+}
+
+TEST(BatchTest, PredictedReportMatchesGoldenFile) {
+  // Eight recorded corpus sites replayed with prediction, under a
+  // suppression file whose first entry hits a kept group and whose second
+  // hits a predicted-only group. The traces are named relative to the
+  // working directory so first_witness does not depend on where the test
+  // runs. Regenerate with WR_UPDATE_GOLDEN=1 and review the diff.
+  const char *Text = "{\n"
+                     "  name: kept html lookup\n"
+                     "  kind: html\n"
+                     "  location: elem #last_p#\n"
+                     "}\n"
+                     "{\n"
+                     "  name: predicted-only timeout pair\n"
+                     "  kind: variable\n"
+                     "  location: var global.pfr_p#\n"
+                     "}\n";
+  triage::SuppressionFile File;
+  std::string Error;
+  ASSERT_TRUE(triage::SuppressionFile::parse(Text, File, Error)) << Error;
+
+  fs::path Root = fs::temp_directory_path() / "wr_triage_test_golden";
+  fs::remove_all(Root);
+  recordCorpusTraces(Root / "traces", 8);
+  triage::BatchResult R;
+  {
+    ScopedCwd InRoot(Root);
+    std::vector<std::string> Paths = tracePaths("traces");
+    ASSERT_EQ(Paths.size(), 8u);
+    triage::BatchOptions Opts;
+    Opts.Jobs = 4;
+    Opts.Replay.Predict = true;
+    Opts.Suppressions = &File;
+    R = triage::runBatch(Paths, Opts);
+  }
+  fs::remove_all(Root);
+  ASSERT_EQ(R.SuppressionHits.size(), 2u);
+  EXPECT_GT(R.SuppressionHits[0], 0u);
+  EXPECT_GT(R.SuppressionHits[1], 0u);
+  // Only the kept group's drops are filter attrition.
+  EXPECT_EQ(R.Aggregate.Attrition.Suppressed, R.SuppressionHits[0]);
+  std::string Actual =
+      obs::writeJson(triage::buildBatchReport("traces", R));
+
+  const char *Path = WR_BATCH_GOLDEN_FILE;
+  if (std::getenv("WR_UPDATE_GOLDEN")) {
+    std::ofstream Out(Path, std::ios::binary | std::ios::trunc);
+    Out << Actual;
+    ASSERT_TRUE(Out.good()) << "cannot write " << Path;
+    GTEST_SKIP() << "golden file regenerated: " << Path;
+  }
+  std::ifstream In(Path, std::ios::binary);
+  ASSERT_TRUE(In) << "missing golden file " << Path
+                  << "; run once with WR_UPDATE_GOLDEN=1 to create it";
+  std::ostringstream Expected;
+  Expected << In.rdbuf();
+  EXPECT_EQ(Actual, Expected.str())
+      << "batch report drifted; if intentional, regenerate with "
+         "WR_UPDATE_GOLDEN=1";
 }
 
 } // namespace

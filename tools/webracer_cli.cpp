@@ -81,6 +81,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -286,7 +287,7 @@ struct CliOptions {
       sample::SamplingStrategy::Adaptive;
   std::string RecordFile, JsonFile, SuppressionsFile, TracesDir;
   uint64_t Sites = 0;
-  uint64_t Jobs = 1;
+  unsigned Jobs = 1;
 
   /// The sampling configuration the parsed flags describe; \p Seed keys
   /// the sampler's private stream (the run's --seed where the
@@ -448,12 +449,19 @@ int parseModeArgs(CliOptions &O, const std::vector<std::string> &Args,
         return 2;
     } else if (Arg == "--jobs") {
       const char *V = Value("--jobs");
-      if (!V || !parseCountArg("--jobs", V, O.Jobs))
+      uint64_t Jobs = 0;
+      if (!V || !parseCountArg("--jobs", V, Jobs))
         return 2;
-      if (O.Jobs == 0) {
+      if (Jobs == 0) {
         std::fprintf(stderr, "error: --jobs must be at least 1\n");
         return 2;
       }
+      if (Jobs > std::numeric_limits<unsigned>::max()) {
+        std::fprintf(stderr, "error: --jobs must be at most %u\n",
+                     std::numeric_limits<unsigned>::max());
+        return 2;
+      }
+      O.Jobs = static_cast<unsigned>(Jobs);
     } else if (Arg == "--traces") {
       const char *V = Value("--traces");
       if (!V)
@@ -596,10 +604,10 @@ int corpusMain(const CliOptions &O) {
   // SHB/WCP deltas are measured alongside Table 1/2 (bench/baseline.json
   // and tools/diff_baseline.py track the headline counters).
   Opts.Predict = true;
-  unsigned Jobs = static_cast<unsigned>(O.Jobs);
-  std::printf("running %zu sites with %u job(s)...\n", Corpus.size(), Jobs);
+  std::printf("running %zu sites with %u job(s)...\n", Corpus.size(),
+              O.Jobs);
   auto Start = std::chrono::steady_clock::now();
-  sites::CorpusStats Stats = runCorpus(Corpus, Opts, O.Seed, Jobs);
+  sites::CorpusStats Stats = runCorpus(Corpus, Opts, O.Seed, O.Jobs);
   double Secs = std::chrono::duration<double>(
                     std::chrono::steady_clock::now() - Start)
                     .count();
@@ -637,16 +645,14 @@ int batchMain(const CliOptions &O) {
     return 1;
   }
   triage::BatchOptions Opts;
-  Opts.Jobs = static_cast<unsigned>(O.Jobs);
+  Opts.Jobs = O.Jobs;
   Opts.Replay.Detector.Engine = O.Engine;
   Opts.Replay.Detector.Sampling = O.samplingOptions(/*Seed=*/1);
   Opts.Replay.Predict = O.Predict;
   if (HaveSuppressions)
     Opts.Suppressions = &Suppressions;
-  std::printf("webracer: ingesting %zu trace(s) from %s with %llu "
-              "job(s)...\n",
-              Paths.size(), O.TracesDir.c_str(),
-              static_cast<unsigned long long>(O.Jobs));
+  std::printf("webracer: ingesting %zu trace(s) from %s with %u job(s)...\n",
+              Paths.size(), O.TracesDir.c_str(), O.Jobs);
   triage::BatchResult R = triage::runBatch(Paths, Opts);
   for (const triage::TraceIngest &In : R.Traces)
     if (!In.Ok)
