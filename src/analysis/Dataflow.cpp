@@ -231,54 +231,63 @@ struct EntryDefAnalysis {
 // --------------------------------------------------------------------------
 
 FlowInfo::FlowInfo(Cfg Lowered) : G(std::move(Lowered)) {
+  std::vector<std::string> Defs;
   for (const CfgBlock &B : G.Blocks) {
-    std::vector<std::string> Defs;
+    Defs.clear();
     for (const js::Stmt *S : B.Stmts)
       collectStmtDefs(S, /*IncludeConditional=*/true, Defs);
     collectExprDefs(B.Term, /*IncludeConditional=*/true, Defs);
     Tracked.insert(Defs.begin(), Defs.end());
   }
-  GuardIn = solveForward(G, GuardAnalysis{});
+  std::vector<std::optional<GuardSet>> GuardIn =
+      solveForward(G, GuardAnalysis{});
   EntryIn = solveForward(G, EntryDefAnalysis{Tracked});
+
+  // Replay each block once: the guard state before each statement, and
+  // where each variable's first must-definition in the block sits.
+  FirstMustDef.resize(G.Blocks.size());
+  for (uint32_t Block = 0; Block < G.Blocks.size(); ++Block) {
+    const std::vector<const js::Stmt *> &Stmts = G.Blocks[Block].Stmts;
+    const std::optional<GuardSet> &In = GuardIn[Block];
+    GuardSet State = In ? *In : GuardSet();
+    for (uint32_t I = 0; I < Stmts.size(); ++I) {
+      const js::Stmt *S = Stmts[I];
+      Facts.emplace(S, StmtFacts{Block, I, State});
+      if (In) {
+        Defs.clear();
+        collectStmtDefs(S, /*IncludeConditional=*/true, Defs);
+        for (const std::string &V : Defs)
+          State.killSubject(V);
+      }
+      if (EntryIn[Block]) {
+        Defs.clear();
+        collectStmtDefs(S, /*IncludeConditional=*/false, Defs);
+        for (std::string &V : Defs)
+          FirstMustDef[Block].emplace(std::move(V), I);
+      }
+    }
+  }
 }
 
 FlowInfo::FlowInfo(const js::Program &P) : FlowInfo(Cfg::lower(P)) {}
 
 FlowInfo::FlowInfo(const js::FunctionLiteral &Fn) : FlowInfo(Cfg::lower(Fn)) {}
 
-GuardSet FlowInfo::guardsAt(const js::Stmt *S) const {
-  auto It = G.BlockOf.find(S);
-  if (It == G.BlockOf.end() || !GuardIn[It->second])
-    return GuardSet();
-  const CfgBlock &B = G.Blocks[It->second];
-  GuardSet State = *GuardIn[It->second];
-  for (const js::Stmt *Prev : B.Stmts) {
-    if (Prev == S)
-      break;
-    std::vector<std::string> Defs;
-    collectStmtDefs(Prev, /*IncludeConditional=*/true, Defs);
-    for (const std::string &V : Defs)
-      State.killSubject(V);
-  }
-  return State;
+const GuardSet &FlowInfo::guardsAt(const js::Stmt *S) const {
+  auto It = Facts.find(S);
+  return It == Facts.end() ? NoGuards : It->second.Guards;
 }
 
 bool FlowInfo::definitelyWrittenBefore(const js::Stmt *S,
                                        const std::string &Var) const {
   if (!Tracked.count(Var))
     return false; // Never written here, so the entry value reaches.
-  auto It = G.BlockOf.find(S);
-  if (It == G.BlockOf.end() || !EntryIn[It->second])
+  auto It = Facts.find(S);
+  if (It == Facts.end() || !EntryIn[It->second.Block])
     return false; // Unknown or unreachable: keep the read.
-  const CfgBlock &B = G.Blocks[It->second];
-  std::set<std::string> State = *EntryIn[It->second];
-  for (const js::Stmt *Prev : B.Stmts) {
-    if (Prev == S)
-      break;
-    std::vector<std::string> Defs;
-    collectStmtDefs(Prev, /*IncludeConditional=*/false, Defs);
-    for (const std::string &V : Defs)
-      State.erase(V);
-  }
-  return !State.count(Var);
+  if (!EntryIn[It->second.Block]->count(Var))
+    return true; // Killed on every path into the block.
+  const auto &Firsts = FirstMustDef[It->second.Block];
+  auto Def = Firsts.find(Var);
+  return Def != Firsts.end() && Def->second < It->second.Index;
 }

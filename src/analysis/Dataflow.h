@@ -24,10 +24,12 @@
 ///    local write, so the effect pass drops it and lets the write
 ///    carry the race.
 ///
-/// The FlowInfo facade runs both analyses once per body and answers
-/// per-statement queries by replaying the anchor block's statements up
-/// to the query point. Statements in unreachable blocks conservatively
-/// report no guards and no definite writes.
+/// The FlowInfo facade runs both analyses once per body, then replays
+/// each block's statements once to record the guard state before every
+/// statement and, per block, the index of the first statement that
+/// must-defines each variable; per-statement queries are lookups into
+/// those facts. Statements in unreachable blocks conservatively report
+/// no guards and no definite writes.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -41,6 +43,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 namespace wr::analysis {
@@ -114,7 +117,8 @@ void collectExprDefs(const js::Expr *E, bool IncludeConditional,
                      std::vector<std::string> &Out);
 
 /// Per-body flow facts: lowers the body once, solves both analyses,
-/// and answers per-statement queries (see file comment).
+/// records per-statement facts, and answers per-statement queries from
+/// them (see file comment).
 class FlowInfo {
 public:
   explicit FlowInfo(const js::Program &P);
@@ -122,7 +126,7 @@ public:
 
   /// The guards dominating \p S. Empty for statements this body did
   /// not lower (including unreachable ones) - the conservative answer.
-  GuardSet guardsAt(const js::Stmt *S) const;
+  const GuardSet &guardsAt(const js::Stmt *S) const;
 
   /// True if \p S sits on a path dominated by a literally-false
   /// condition: its effects cannot happen.
@@ -138,13 +142,25 @@ public:
 private:
   explicit FlowInfo(Cfg Lowered);
 
+  /// Where a lowered statement sits, and the guards holding before it.
+  struct StmtFacts {
+    uint32_t Block = 0;
+    uint32_t Index = 0; ///< Position in the block's Stmts.
+    GuardSet Guards;    ///< Empty in unreachable blocks.
+  };
+
   Cfg G;
-  /// Block-entry states of the two analyses; nullopt = unreachable.
-  std::vector<std::optional<GuardSet>> GuardIn;
+  std::unordered_map<const js::Stmt *, StmtFacts> Facts;
+  /// Block-entry states of the reaching-entry-defs analysis; nullopt =
+  /// unreachable.
   std::vector<std::optional<std::set<std::string>>> EntryIn;
+  /// Per block: variable -> index of the first statement of the block
+  /// that must-defines it (kills its entry value).
+  std::vector<std::unordered_map<std::string, uint32_t>> FirstMustDef;
   /// Variables with at least one definition in this body - the
   /// reaching-entry-defs universe.
   std::set<std::string> Tracked;
+  GuardSet NoGuards;
 };
 
 } // namespace wr::analysis

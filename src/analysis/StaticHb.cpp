@@ -38,6 +38,7 @@ uint32_t StaticHbGraph::addSource(SourceKind Kind, std::string Label) {
   S.Label = std::move(Label);
   Sources.push_back(std::move(S));
   Succ.emplace_back();
+  Closure.clear();
   return Id;
 }
 
@@ -49,6 +50,30 @@ void StaticHbGraph::addEdge(uint32_t From, uint32_t To) {
       return;
   Succ[From].push_back(To);
   ++Edges;
+  Closure.clear();
+}
+
+void StaticHbGraph::buildClosure() const {
+  ClosureWords = (Sources.size() + 63) / 64;
+  Closure.assign(Sources.size() * ClosureWords, 0);
+  std::vector<uint32_t> Stack;
+  for (uint32_t From = 0; From < Sources.size(); ++From) {
+    // The row doubles as the DFS's visited set.
+    uint64_t *Row = &Closure[From * ClosureWords];
+    Row[From / 64] |= 1ull << (From % 64);
+    Stack.assign(1, From);
+    while (!Stack.empty()) {
+      uint32_t Cur = Stack.back();
+      Stack.pop_back();
+      for (uint32_t Next : Succ[Cur]) {
+        uint64_t Bit = 1ull << (Next % 64);
+        if (!(Row[Next / 64] & Bit)) {
+          Row[Next / 64] |= Bit;
+          Stack.push_back(Next);
+        }
+      }
+    }
+  }
 }
 
 bool StaticHbGraph::reaches(uint32_t From, uint32_t To) const {
@@ -56,24 +81,9 @@ bool StaticHbGraph::reaches(uint32_t From, uint32_t To) const {
     return false;
   if (From == To)
     return true;
-  // Graphs are page-sized (tens of sources); an explicit DFS per query
-  // is fast enough and keeps the structure mutation-friendly.
-  std::vector<uint8_t> Seen(Sources.size(), 0);
-  std::vector<uint32_t> Stack{From};
-  Seen[From] = 1;
-  while (!Stack.empty()) {
-    uint32_t Cur = Stack.back();
-    Stack.pop_back();
-    for (uint32_t Next : Succ[Cur]) {
-      if (Next == To)
-        return true;
-      if (!Seen[Next]) {
-        Seen[Next] = 1;
-        Stack.push_back(Next);
-      }
-    }
-  }
-  return false;
+  if (Closure.empty())
+    buildClosure();
+  return (Closure[From * ClosureWords + To / 64] >> (To % 64)) & 1;
 }
 
 std::string StaticHbGraph::toString() const {

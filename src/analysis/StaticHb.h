@@ -65,6 +65,14 @@ struct EffectSource {
 
 /// The DAG of effect sources. Queries are by reachability: A is ordered
 /// with B iff one reaches the other along must-HB edges.
+///
+/// Queries answer from a transitive-closure bitset (one row of reachable
+/// sources per source) that the first query after a mutation builds by
+/// one DFS per source; addSource/addEdge invalidate it. Source ids are
+/// not a topological order (a dispatch source created early gains
+/// in-edges from later anchors), so the rows cannot be filled by one
+/// sweep over ids. Because that first query fills a cache, concurrent
+/// queries on one graph need external synchronization.
 class StaticHbGraph {
 public:
   /// Sentinel for "no source".
@@ -83,7 +91,8 @@ public:
 
   size_t numEdges() const { return Edges; }
 
-  /// True if \p From reaches \p To along edges (reflexive).
+  /// True if \p From reaches \p To along edges (reflexive). False if
+  /// either is InvalidSource.
   bool reaches(uint32_t From, uint32_t To) const;
 
   /// True if the two sources are ordered either way - the static
@@ -97,9 +106,16 @@ public:
   std::string toString() const;
 
 private:
+  /// Fills Closure and ClosureWords from Succ.
+  void buildClosure() const;
+
   std::vector<EffectSource> Sources;
   std::vector<std::vector<uint32_t>> Succ;
   size_t Edges = 0;
+  /// Row-major reachability bitset, ClosureWords 64-bit words per source
+  /// (bit To of row From set iff reaches(From, To)). Empty when stale.
+  mutable std::vector<uint64_t> Closure;
+  mutable size_t ClosureWords = 0;
 };
 
 } // namespace wr::analysis

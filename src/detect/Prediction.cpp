@@ -7,8 +7,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <unordered_map>
-#include <unordered_set>
 
 using namespace wr;
 using namespace wr::detect;
@@ -70,38 +68,85 @@ obs::PredictionRow wr::detect::toStatsRow(const PredictionResult &Result) {
 
 namespace {
 
-/// Key of one deduplicated finding: the location and the unordered
-/// operation pair. Ops are 32-bit (HbGraph static_assert), so the pair
-/// packs into one uint64_t.
-struct PairKey {
-  LocId Loc;
-  uint64_t Ops;
-
-  bool operator==(const PairKey &Other) const = default;
-};
-
-struct PairKeyHash {
-  size_t operator()(const PairKey &K) const {
-    uint64_t H = K.Ops * 0x9e3779b97f4a7c15ull;
-    return std::hash<uint64_t>()(H ^ K.Loc);
-  }
-};
-
+/// The unordered operation pair as one key (OpIds are 32-bit).
 uint64_t packPair(OpId A, OpId B) {
   OpId Lo = std::min(A, B);
   OpId Hi = std::max(A, B);
   return (static_cast<uint64_t>(Lo) << 32) | Hi;
 }
 
-/// Per-location history of the pass (mirrors the detector's FullHistory
-/// bookkeeping, including the form-filter metadata).
-struct LocHistory {
-  struct Entry {
-    Access A;
-    bool HadPriorRead = false;
+/// Open-addressing set of (location, unordered operation pair) keys: one
+/// flat slot array, linear probing, no per-key allocation.
+class PairSet {
+public:
+  /// Inserts the key; returns true if it was not already present.
+  bool insert(LocId Loc, uint64_t Ops) {
+    if ((Used + 1) * 2 > Slots.size())
+      grow();
+    Slot &S = Slots[slotOf(Loc, Ops)];
+    if (S.Loc != InvalidLocId)
+      return false;
+    S = {Ops, Loc};
+    ++Used;
+    return true;
+  }
+
+  bool contains(LocId Loc, uint64_t Ops) const {
+    return !Slots.empty() && Slots[slotOf(Loc, Ops)].Loc != InvalidLocId;
+  }
+
+private:
+  struct Slot {
+    uint64_t Ops = 0;
+    LocId Loc = InvalidLocId; ///< InvalidLocId marks an empty slot.
   };
-  std::vector<Entry> Entries;
-  std::unordered_set<OpId> ReaderOps;
+
+  /// The key's slot, or the empty slot where it would go.
+  size_t slotOf(LocId Loc, uint64_t Ops) const {
+    uint64_t H = (Ops + Loc * 0x9e3779b97f4a7c15ull) * 0xbf58476d1ce4e5b9ull;
+    size_t Mask = Slots.size() - 1;
+    for (size_t I = (H ^ (H >> 32)) & Mask;; I = (I + 1) & Mask)
+      if (Slots[I].Loc == InvalidLocId ||
+          (Slots[I].Loc == Loc && Slots[I].Ops == Ops))
+        return I;
+  }
+
+  void grow() {
+    std::vector<Slot> Old = std::move(Slots);
+    Slots.assign(Old.empty() ? 64 : Old.size() * 2, Slot());
+    for (const Slot &S : Old)
+      if (S.Loc != InvalidLocId)
+        Slots[slotOf(S.Loc, S.Ops)] = S;
+  }
+
+  std::vector<Slot> Slots;
+  size_t Used = 0;
+};
+
+/// One access in a location's history: where the event sits in the
+/// trace, plus the fields the pair scan reads without touching it.
+struct HistoryEntry {
+  uint32_t Event = 0; ///< Index into TraceLog::events().
+  OpId Op = InvalidOpId;
+  bool Write = false;
+  /// A write whose operation had already read the location (the
+  /// form-filter metadata the detector's full history also keeps).
+  bool HadPriorRead = false;
+};
+
+/// One location's accesses in trace order, with the positions of its
+/// writes so a read scans only the writes it can conflict with.
+struct LocHistory {
+  std::vector<HistoryEntry> Accesses;
+  std::vector<uint32_t> Writes;
+};
+
+/// A deduplicated finding before it becomes a PredictedRace.
+struct Finding {
+  uint32_t FirstEvent = 0;
+  uint32_t SecondEvent = 0;
+  bool WriteHadPriorReadInOp = false;
+  bool Observed = false;
 };
 
 } // namespace
@@ -126,23 +171,27 @@ PredictionResult wr::detect::predictRaces(const TraceLog &Log,
   }
   PartialOrderEngine &PO = *Owned;
 
+  const std::vector<TraceEvent> &Events = Log.events();
+
   // WCP classifies dispatch-order edges by whether the endpoints
   // conflict, which needs both operations' access footprints before the
   // edge streams by - hence the pre-pass.
   if (Engine == EngineKind::Wcp)
-    for (const TraceEvent &E : Log.events())
+    for (const TraceEvent &E : Events)
       if (E.K == TraceEvent::Kind::MemAccess)
         PO.primeAccess(E.Mem.Op, E.Mem.Loc, E.Mem.Kind);
 
   // Index the observed raw races for verdict labeling.
-  std::unordered_set<PairKey, PairKeyHash> Observed;
+  PairSet Observed;
   for (const Race &R : ObservedRaw)
-    Observed.insert({R.First.Loc, packPair(R.First.Op, R.Second.Op)});
+    Observed.insert(R.First.Loc, packPair(R.First.Op, R.Second.Op));
 
-  std::unordered_map<LocId, LocHistory> Histories;
-  std::unordered_set<PairKey, PairKeyHash> Seen;
+  std::vector<LocHistory> Histories(Log.interner().size());
+  PairSet Seen;
+  std::vector<Finding> Findings;
 
-  for (const TraceEvent &E : Log.events()) {
+  for (uint32_t Index = 0; Index < Events.size(); ++Index) {
+    const TraceEvent &E = Events[Index];
     switch (E.K) {
     case TraceEvent::Kind::OpCreated:
       PO.onOperationCreated(E.Op, E.Meta);
@@ -153,41 +202,41 @@ PredictionResult wr::detect::predictRaces(const TraceLog &Log,
     case TraceEvent::Kind::MemAccess: {
       const Access &A = E.Mem;
       LocHistory &H = Histories[A.Loc];
-      // Check against the whole history *before* this access updates the
+      bool Write = A.Kind == AccessKind::Write;
+      // Check against the history *before* this access updates the
       // engine: under SHB the reader's write-read join must not order
-      // away the very pair being asked about.
-      for (const LocHistory::Entry &Prior : H.Entries) {
-        bool OneIsWrite = Prior.A.Kind == AccessKind::Write ||
-                          A.Kind == AccessKind::Write;
-        if (Prior.A.Op == A.Op || !OneIsWrite)
-          continue;
+      // away the very pair being asked about. Read-read pairs never
+      // conflict, so a read scans only the prior writes; either way the
+      // conflicting pairs come up in trace order.
+      size_t FirstFinding = Findings.size();
+      bool OwnPriorRead = false; // This write's op read the location.
+      auto Check = [&](const HistoryEntry &Prior) {
+        if (Prior.Op == A.Op) {
+          OwnPriorRead |= !Prior.Write;
+          return;
+        }
         ++Result.PairsChecked;
-        if (!PO.concurrent(Prior.A.Op, A.Op))
-          continue;
-        PairKey Key{A.Loc, packPair(Prior.A.Op, A.Op)};
-        if (!Seen.insert(Key).second)
-          continue;
-        PredictedRace P;
-        P.R.Loc = Log.interner().resolve(A.Loc);
-        P.R.First = Prior.A;
-        P.R.Second = A;
-        P.R.Kind = classifyRace(Prior.A, A, P.R.Loc);
-        if (Prior.A.Kind == AccessKind::Write && Prior.HadPriorRead)
-          P.R.WriteHadPriorReadInOp = true;
-        if (A.Kind == AccessKind::Write && H.ReaderOps.count(A.Op) != 0)
-          P.R.WriteHadPriorReadInOp = true;
-        P.Verdict = Observed.count(Key) != 0 ? PredictionVerdict::Observed
-                                             : PredictionVerdict::Predicted;
-        Result.Races.push_back(std::move(P));
-      }
+        if (!PO.concurrent(Prior.Op, A.Op))
+          return;
+        uint64_t Ops = packPair(Prior.Op, A.Op);
+        if (!Seen.insert(A.Loc, Ops))
+          return;
+        Findings.push_back({Prior.Event, Index, Prior.HadPriorRead,
+                            Observed.contains(A.Loc, Ops)});
+      };
+      if (Write)
+        for (const HistoryEntry &Prior : H.Accesses)
+          Check(Prior);
+      else
+        for (uint32_t Pos : H.Writes)
+          Check(H.Accesses[Pos]);
+      if (OwnPriorRead)
+        for (size_t I = FirstFinding; I < Findings.size(); ++I)
+          Findings[I].WriteHadPriorReadInOp = true;
       PO.onMemoryAccess(A);
-      LocHistory::Entry Entry;
-      Entry.A = A;
-      if (A.Kind == AccessKind::Write)
-        Entry.HadPriorRead = H.ReaderOps.count(A.Op) != 0;
-      H.Entries.push_back(std::move(Entry));
-      if (A.Kind == AccessKind::Read)
-        H.ReaderOps.insert(A.Op);
+      if (Write)
+        H.Writes.push_back(static_cast<uint32_t>(H.Accesses.size()));
+      H.Accesses.push_back({Index, A.Op, Write, OwnPriorRead});
       break;
     }
     case TraceEvent::Kind::OpBegin:
@@ -195,6 +244,19 @@ PredictionResult wr::detect::predictRaces(const TraceLog &Log,
     case TraceEvent::Kind::Dispatch:
       break;
     }
+  }
+
+  Result.Races.resize(Findings.size());
+  for (size_t I = 0; I < Findings.size(); ++I) {
+    const Finding &F = Findings[I];
+    PredictedRace &P = Result.Races[I];
+    P.R.First = Events[F.FirstEvent].Mem;
+    P.R.Second = Events[F.SecondEvent].Mem;
+    P.R.Loc = Log.interner().resolve(P.R.Second.Loc);
+    P.R.Kind = classifyRace(P.R.First, P.R.Second, P.R.Loc);
+    P.R.WriteHadPriorReadInOp = F.WriteHadPriorReadInOp;
+    P.Verdict = F.Observed ? PredictionVerdict::Observed
+                           : PredictionVerdict::Predicted;
   }
 
   if (Engine == EngineKind::Shb || Engine == EngineKind::Wcp)

@@ -250,6 +250,11 @@ void RunStats::exportTo(MetricsRegistry &Registry,
     Registry.counter(Base + ".dropped_edges").inc(Row.DroppedEdges);
     Registry.counter(Base + ".candidates").inc(Row.Candidates);
     Registry.counter(Base + ".observed_matched").inc(Row.Observed);
+    Registry.counter(Base + ".predicted.html").inc(Row.Predicted.Html);
+    Registry.counter(Base + ".predicted.function").inc(Row.Predicted.Function);
+    Registry.counter(Base + ".predicted.variable").inc(Row.Predicted.Variable);
+    Registry.counter(Base + ".predicted.event_dispatch")
+        .inc(Row.Predicted.EventDispatch);
     Registry.counter(Base + ".predicted.total").inc(Row.Predicted.total());
   }
   C("tasks", TasksRun);

@@ -8,6 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 using namespace wr;
 using namespace wr::obs;
 
@@ -243,8 +247,35 @@ TEST(RunStatsTest, JsonIsDeterministicAndWallFree) {
   EXPECT_NE(Doc.find("\"rule A\":6"), std::string::npos);
 }
 
+/// Appends to \p Out every numeric leaf under \p J as (dotted path,
+/// value).
+void numericLeaves(const Json &J, const std::string &Path,
+                   std::vector<std::pair<std::string, uint64_t>> &Out) {
+  if (J.isObject()) {
+    for (const auto &[Key, Child] : J.members())
+      numericLeaves(Child, Path + "." + Key, Out);
+  } else if (J.kind() == Json::Kind::Uint || J.kind() == Json::Kind::Int) {
+    Out.emplace_back(Path, J.asUint());
+  }
+}
+
 TEST(RunStatsTest, ExportToRegistry) {
   RunStats S = sampleStats(2);
+  // Distinct values per engine and per race kind, so a counter exported
+  // under the wrong name or from the wrong field shows.
+  for (uint64_t I = 0; I < 2; ++I) {
+    PredictionRow Row;
+    Row.Engine = I == 0 ? "shb" : "wcp";
+    Row.PairsChecked = 100 + I;
+    Row.DroppedEdges = 200 + I;
+    Row.Candidates = 300 + I;
+    Row.Observed = 400 + I;
+    Row.Predicted.Html = 10 + I;
+    Row.Predicted.Function = 20 + I;
+    Row.Predicted.Variable = 30 + I;
+    Row.Predicted.EventDispatch = 40 + I;
+    S.Prediction.push_back(Row);
+  }
   MetricsRegistry Reg;
   S.exportTo(Reg, "wr");
   EXPECT_EQ(Reg.counter("wr.operations").value(), 20u);
@@ -252,6 +283,23 @@ TEST(RunStatsTest, ExportToRegistry) {
   EXPECT_EQ(Reg.counter("wr.interned_locations").value(), 12u);
   EXPECT_EQ(Reg.counter("wr.intern_hits").value(), 16u);
   EXPECT_EQ(Reg.counter("wr.epoch_hits").value(), 18u);
+
+  // Every numeric leaf the report writes under wr_prediction has an
+  // equal-valued --metrics counter of the same name.
+  Json Report = S.toJson();
+  const Json *Pred = Report.find("wr_prediction");
+  ASSERT_NE(Pred, nullptr);
+  std::vector<std::pair<std::string, uint64_t>> Leaves;
+  numericLeaves(*Pred, "wr.wr_prediction", Leaves);
+  EXPECT_EQ(Leaves.size(), 18u);
+  Json Exported = Reg.toJson();
+  const Json *Counters = Exported.find("counters");
+  ASSERT_NE(Counters, nullptr);
+  for (const auto &[Name, Value] : Leaves) {
+    const Json *Counter = Counters->find(Name);
+    ASSERT_NE(Counter, nullptr) << Name << " is not exported";
+    EXPECT_EQ(Counter->asUint(), Value) << Name;
+  }
 }
 
 //===----------------------------------------------------------------------===//

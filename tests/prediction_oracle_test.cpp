@@ -1,0 +1,421 @@
+//===- tests/prediction_oracle_test.cpp - predictRaces vs reference pass ----===//
+//
+// Part of the WebRacer reproduction. MIT licensed; see LICENSE.
+//
+//===----------------------------------------------------------------------===//
+//
+// detect::predictRaces answers each access from a per-location index (a
+// dense history of event indices, reads scanning only prior writes, a
+// flat deduplication set). This file keeps the straightforward
+// full-history pass it replaced as the reference and checks the two
+// produce identical results - every PredictedRace field (Detail strings,
+// the form-filter flag, the verdict) in the same order, plus PairsChecked
+// and DroppedEdges - under the hb, shb and wcp orders, over:
+//
+//  * recorded seed-2012 corpus sites;
+//  * the figure pages and the false-positive page;
+//  * random web-shaped traces: operations created with in-edges from
+//    older ones, run one at a time with nested operations inside, over a
+//    small location pool so the same operation touches a location
+//    repeatedly and reads before writing it.
+//
+//===----------------------------------------------------------------------===//
+
+#include "analysis/Scenarios.h"
+#include "detect/Prediction.h"
+#include "detect/TraceReplay.h"
+#include "hb/PredictiveEngine.h"
+#include "sites/Corpus.h"
+#include "support/Rng.h"
+#include "webracer/Session.h"
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <iterator>
+#include <memory>
+#include <string>
+#include <unordered_map>
+#include <unordered_set>
+#include <vector>
+
+using namespace wr;
+using namespace wr::detect;
+
+namespace {
+
+//===----------------------------------------------------------------------===//
+// The reference: every access checked against its location's whole
+// history, with hash-map bookkeeping.
+//===----------------------------------------------------------------------===//
+
+struct PairKey {
+  LocId Loc;
+  uint64_t Ops;
+
+  bool operator==(const PairKey &Other) const = default;
+};
+
+struct PairKeyHash {
+  size_t operator()(const PairKey &K) const {
+    uint64_t H = K.Ops * 0x9e3779b97f4a7c15ull;
+    return std::hash<uint64_t>()(H ^ K.Loc);
+  }
+};
+
+uint64_t packPair(OpId A, OpId B) {
+  OpId Lo = std::min(A, B);
+  OpId Hi = std::max(A, B);
+  return (static_cast<uint64_t>(Lo) << 32) | Hi;
+}
+
+struct LocHistory {
+  struct Entry {
+    Access A;
+    bool HadPriorRead = false;
+  };
+  std::vector<Entry> Entries;
+  std::unordered_set<OpId> ReaderOps;
+};
+
+PredictionResult referencePredictRaces(const TraceLog &Log, EngineKind Engine,
+                                       const std::vector<Race> &ObservedRaw) {
+  PredictionResult Result;
+  Result.Engine = Engine;
+
+  HbGraph ObservedHb;
+  std::unique_ptr<PartialOrderEngine> Owned;
+  if (Engine == EngineKind::Hb || Engine == EngineKind::HbDfs) {
+    ObservedHb = buildHbGraphFromTrace(Log, Engine == EngineKind::Hb);
+    Owned = std::make_unique<HbEngine>(ObservedHb);
+  } else if (Engine == EngineKind::Shb) {
+    Owned = std::make_unique<ShbEngine>();
+  } else {
+    Owned = std::make_unique<WcpEngine>();
+  }
+  PartialOrderEngine &PO = *Owned;
+
+  if (Engine == EngineKind::Wcp)
+    for (const TraceEvent &E : Log.events())
+      if (E.K == TraceEvent::Kind::MemAccess)
+        PO.primeAccess(E.Mem.Op, E.Mem.Loc, E.Mem.Kind);
+
+  std::unordered_set<PairKey, PairKeyHash> Observed;
+  for (const Race &R : ObservedRaw)
+    Observed.insert({R.First.Loc, packPair(R.First.Op, R.Second.Op)});
+
+  std::unordered_map<LocId, LocHistory> Histories;
+  std::unordered_set<PairKey, PairKeyHash> Seen;
+
+  for (const TraceEvent &E : Log.events()) {
+    switch (E.K) {
+    case TraceEvent::Kind::OpCreated:
+      PO.onOperationCreated(E.Op, E.Meta);
+      break;
+    case TraceEvent::Kind::HbEdge:
+      PO.onHbEdge(E.Op, E.Op2, E.Rule);
+      break;
+    case TraceEvent::Kind::MemAccess: {
+      const Access &A = E.Mem;
+      LocHistory &H = Histories[A.Loc];
+      for (const LocHistory::Entry &Prior : H.Entries) {
+        bool OneIsWrite = Prior.A.Kind == AccessKind::Write ||
+                          A.Kind == AccessKind::Write;
+        if (Prior.A.Op == A.Op || !OneIsWrite)
+          continue;
+        ++Result.PairsChecked;
+        if (!PO.concurrent(Prior.A.Op, A.Op))
+          continue;
+        PairKey Key{A.Loc, packPair(Prior.A.Op, A.Op)};
+        if (!Seen.insert(Key).second)
+          continue;
+        PredictedRace P;
+        P.R.Loc = Log.interner().resolve(A.Loc);
+        P.R.First = Prior.A;
+        P.R.Second = A;
+        P.R.Kind = classifyRace(Prior.A, A, P.R.Loc);
+        if (Prior.A.Kind == AccessKind::Write && Prior.HadPriorRead)
+          P.R.WriteHadPriorReadInOp = true;
+        if (A.Kind == AccessKind::Write && H.ReaderOps.count(A.Op) != 0)
+          P.R.WriteHadPriorReadInOp = true;
+        P.Verdict = Observed.count(Key) != 0 ? PredictionVerdict::Observed
+                                             : PredictionVerdict::Predicted;
+        Result.Races.push_back(std::move(P));
+      }
+      PO.onMemoryAccess(A);
+      LocHistory::Entry Entry;
+      Entry.A = A;
+      if (A.Kind == AccessKind::Write)
+        Entry.HadPriorRead = H.ReaderOps.count(A.Op) != 0;
+      H.Entries.push_back(std::move(Entry));
+      if (A.Kind == AccessKind::Read)
+        H.ReaderOps.insert(A.Op);
+      break;
+    }
+    case TraceEvent::Kind::OpBegin:
+    case TraceEvent::Kind::OpEnd:
+    case TraceEvent::Kind::Dispatch:
+      break;
+    }
+  }
+
+  if (Engine == EngineKind::Shb || Engine == EngineKind::Wcp)
+    Result.DroppedEdges = static_cast<PredictiveEngine &>(PO).droppedEdges();
+  return Result;
+}
+
+//===----------------------------------------------------------------------===//
+// Comparison
+//===----------------------------------------------------------------------===//
+
+const EngineKind Engines[] = {EngineKind::Hb, EngineKind::Shb,
+                              EngineKind::Wcp};
+
+std::string describe(const Access &A) {
+  return std::string(toString(A.Kind)) + "/" + toString(A.Origin) + " op " +
+         std::to_string(A.Op) + " loc " + std::to_string(A.Loc) + " '" +
+         A.Detail + "'";
+}
+
+bool sameAccess(const Access &X, const Access &Y) {
+  return X.Kind == Y.Kind && X.Origin == Y.Origin && X.Op == Y.Op &&
+         X.Loc == Y.Loc && X.Detail == Y.Detail;
+}
+
+/// Equal down to every field and the order; reports the first difference.
+::testing::AssertionResult sameResult(const PredictionResult &Want,
+                                      const PredictionResult &Got) {
+  if (Want.Engine != Got.Engine)
+    return ::testing::AssertionFailure() << "engine differs";
+  if (Want.PairsChecked != Got.PairsChecked)
+    return ::testing::AssertionFailure()
+           << "PairsChecked " << Got.PairsChecked << ", reference "
+           << Want.PairsChecked;
+  if (Want.DroppedEdges != Got.DroppedEdges)
+    return ::testing::AssertionFailure()
+           << "DroppedEdges " << Got.DroppedEdges << ", reference "
+           << Want.DroppedEdges;
+  if (Want.Races.size() != Got.Races.size())
+    return ::testing::AssertionFailure()
+           << Got.Races.size() << " races, reference " << Want.Races.size();
+  for (size_t I = 0; I < Want.Races.size(); ++I) {
+    const PredictedRace &W = Want.Races[I];
+    const PredictedRace &G = Got.Races[I];
+    if (W.R.Kind != G.R.Kind || !(W.R.Loc == G.R.Loc) ||
+        !sameAccess(W.R.First, G.R.First) ||
+        !sameAccess(W.R.Second, G.R.Second) ||
+        W.R.WriteHadPriorReadInOp != G.R.WriteHadPriorReadInOp ||
+        W.Verdict != G.Verdict)
+      return ::testing::AssertionFailure()
+             << "race " << I << " differs: got " << toString(G.R.Kind)
+             << " on " << toString(G.R.Loc) << " [" << describe(G.R.First)
+             << "] vs [" << describe(G.R.Second) << "] prior-read "
+             << G.R.WriteHadPriorReadInOp << " " << toString(G.Verdict)
+             << "; reference " << toString(W.R.Kind) << " on "
+             << toString(W.R.Loc) << " [" << describe(W.R.First) << "] vs ["
+             << describe(W.R.Second) << "] prior-read "
+             << W.R.WriteHadPriorReadInOp << " " << toString(W.Verdict);
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// What the compared findings exercised, so a test can show it is not
+/// vacuous.
+struct Coverage {
+  size_t Races = 0;
+  size_t Observed = 0;
+  size_t PriorRead = 0;
+  uint64_t Dropped = 0;
+
+  void add(const PredictionResult &P) {
+    Races += P.Races.size();
+    Observed += P.observedMatched();
+    for (const PredictedRace &R : P.Races)
+      PriorRead += R.R.WriteHadPriorReadInOp;
+    Dropped += P.DroppedEdges;
+  }
+};
+
+void expectMatchesReference(const TraceLog &Log,
+                            const std::vector<Race> &Observed,
+                            const std::string &Label, Coverage &Cov) {
+  for (EngineKind Engine : Engines) {
+    PredictionResult Want = referencePredictRaces(Log, Engine, Observed);
+    PredictionResult Got = predictRaces(Log, Engine, Observed);
+    EXPECT_TRUE(sameResult(Want, Got))
+        << Label << " under " << toString(Engine);
+    Cov.add(Got);
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// Recorded pages
+//===----------------------------------------------------------------------===//
+
+TEST(PredictionOracleTest, RecordedCorpusSitesMatchReference) {
+  std::vector<sites::GeneratedSite> Corpus =
+      sites::buildFortune100Corpus(2012);
+  Corpus.resize(24);
+  Rng Seeds(2012);
+  Coverage Cov;
+  for (const sites::GeneratedSite &Site : Corpus) {
+    webracer::SessionOptions Opts;
+    Opts.RecordTrace = true;
+    Opts.Browser.Seed = Seeds.next();
+    webracer::Session S(Opts);
+    S.network().addResource(Site.IndexUrl, Site.Html, 10);
+    for (const sites::SiteResource &R : Site.Resources)
+      S.network().addResourceWithJitter(R.Url, R.Body, R.MinLatencyUs,
+                                        R.MaxLatencyUs);
+    webracer::SessionResult Result = S.run(Site.IndexUrl);
+    ASSERT_NE(S.trace(), nullptr);
+    expectMatchesReference(*S.trace(), Result.RawRaces, Site.Name, Cov);
+  }
+  EXPECT_GT(Cov.Races, 1000u);
+  EXPECT_GT(Cov.Observed, 0u);
+  EXPECT_GT(Cov.Dropped, 0u);
+}
+
+TEST(PredictionOracleTest, FigurePagesMatchReference) {
+  std::vector<analysis::PageSpec> Pages = analysis::figurePages();
+  Pages.push_back(analysis::falsePositivePage());
+  Coverage Cov;
+  for (const analysis::PageSpec &Page : Pages) {
+    webracer::SessionOptions Opts;
+    Opts.RecordTrace = true;
+    webracer::Session S(Opts);
+    S.network().addResource(Page.EntryUrl, Page.Html, 10);
+    for (const analysis::PageResource &R : Page.Resources)
+      S.network().addResource(R.Url, R.Content, R.LatencyUs);
+    webracer::SessionResult Result = S.run(Page.EntryUrl);
+    ASSERT_NE(S.trace(), nullptr);
+    expectMatchesReference(*S.trace(), Result.RawRaces, Page.Name, Cov);
+  }
+  EXPECT_GT(Cov.Races, 0u);
+  EXPECT_GT(Cov.Observed, 0u);
+}
+
+//===----------------------------------------------------------------------===//
+// Random web-shaped traces
+//===----------------------------------------------------------------------===//
+
+/// Builds a random trace shaped like a recorded page load. Every edge
+/// points from an older to a newer operation and arrives right after its
+/// target is created - before any access of that or a newer operation,
+/// which the engines' lazy clock finalization requires.
+class RandomTrace {
+public:
+  explicit RandomTrace(uint64_t Seed) : R(Seed) {
+    std::vector<Location> Pool = {
+        JSVarLoc{0, "x"},
+        JSVarLoc{0, "y"},
+        JSVarLoc{7, "f"},
+        HtmlElemLoc{1, ElemKeyKind::ById, InvalidNodeId, "menu"},
+        HtmlElemLoc{1, ElemKeyKind::ByNode, 4, ""},
+        EventHandlerLoc{4, 0, "load", 0},
+        EventHandlerLoc{0, 9, "readystatechange", 3},
+    };
+    for (LocId Id = 0; Id < Pool.size(); ++Id)
+      Log.onLocationInterned(Id, Pool[Id]);
+    NumLocs = static_cast<uint32_t>(Pool.size());
+
+    run(create(InvalidOpId), 0);
+    while (!Pending.empty() && Next < 120) {
+      size_t Pick = static_cast<size_t>(R.nextBelow(Pending.size()));
+      OpId Op = Pending[Pick];
+      Pending.erase(Pending.begin() + static_cast<ptrdiff_t>(Pick));
+      run(Op, 0);
+    }
+  }
+
+  const TraceLog &log() const { return Log; }
+
+private:
+  OpId create(OpId Parent) {
+    static const OperationKind Kinds[] = {
+        OperationKind::ParseElement, OperationKind::ExecuteScript,
+        OperationKind::TimeoutCallback, OperationKind::IntervalCallback,
+        OperationKind::EventHandler, OperationKind::DispatchBegin};
+    static const HbRule Rules[] = {
+        HbRule::R1a_ParseOrder, HbRule::R9_DispatchOrder,
+        HbRule::R16_SetTimeout, HbRule::R17_SetInterval,
+        HbRule::RA_DispatchChain};
+    OpId Id = Next++;
+    Operation Meta;
+    Meta.Kind = Kinds[R.nextBelow(std::size(Kinds))];
+    Meta.Label = "op " + std::to_string(Id);
+    Log.onOperationCreated(Id, Meta);
+    std::vector<OpId> From;
+    if (Parent != InvalidOpId)
+      From.push_back(Parent);
+    for (uint64_t I = R.nextBelow(3); I > 0 && Id > 1; --I) {
+      OpId Older = static_cast<OpId>(1 + R.nextBelow(Id - 1));
+      if (std::find(From.begin(), From.end(), Older) == From.end())
+        From.push_back(Older);
+    }
+    for (OpId F : From)
+      Log.onHbEdge(F, Id, Rules[R.nextBelow(std::size(Rules))]);
+    return Id;
+  }
+
+  void access(OpId Op, LocId Loc, AccessKind Kind) {
+    static const AccessOrigin Origins[] = {
+        AccessOrigin::Plain, AccessOrigin::FunctionDecl,
+        AccessOrigin::FunctionCall, AccessOrigin::FormFieldWrite,
+        AccessOrigin::ElemInsert, AccessOrigin::HandlerFire};
+    Access A;
+    A.Kind = Kind;
+    A.Origin = Origins[R.nextBelow(std::size(Origins))];
+    A.Op = Op;
+    A.Loc = Loc;
+    A.Detail = "access " + std::to_string(++Accesses);
+    Log.onMemoryAccess(A);
+  }
+
+  void run(OpId Op, int Depth) {
+    Log.onOperationBegin(Op);
+    for (uint64_t Steps = 1 + R.nextBelow(6); Steps > 0; --Steps) {
+      if (Depth < 2 && R.nextBool(0.12)) {
+        run(create(Op), Depth + 1); // Nested: runs inside this one.
+        continue;
+      }
+      if (R.nextBool(0.2)) {
+        Pending.push_back(create(Op)); // Registered, runs later.
+        continue;
+      }
+      LocId Loc = static_cast<LocId>(R.nextBelow(NumLocs));
+      if (R.nextBool(0.2)) {
+        access(Op, Loc, AccessKind::Read);
+        access(Op, Loc, AccessKind::Write);
+        continue;
+      }
+      for (uint64_t Repeat = 1 + R.nextBelow(3); Repeat > 0; --Repeat)
+        access(Op, Loc, R.nextBool() ? AccessKind::Write : AccessKind::Read);
+    }
+    Log.onOperationEnd(Op, /*Crashed=*/false);
+  }
+
+  Rng R;
+  TraceLog Log;
+  uint32_t NumLocs = 0;
+  OpId Next = 1;
+  std::vector<OpId> Pending;
+  uint64_t Accesses = 0;
+};
+
+TEST(PredictionOracleTest, RandomWebShapedTracesMatchReference) {
+  Coverage Cov;
+  for (uint64_t Seed = 1; Seed <= 150; ++Seed) {
+    RandomTrace Trace(Seed);
+    // The observed run's races label verdicts, as in a session.
+    std::vector<Race> Observed = replayTrace(Trace.log()).RawRaces;
+    expectMatchesReference(Trace.log(), Observed,
+                           "seed " + std::to_string(Seed), Cov);
+  }
+  EXPECT_GT(Cov.Races, 1000u);
+  EXPECT_GT(Cov.Observed, 0u);
+  EXPECT_GT(Cov.PriorRead, 0u);
+  EXPECT_GT(Cov.Dropped, 0u);
+}
+
+} // namespace

@@ -7,8 +7,9 @@ Compares the deterministic headline counters (site count, aggregate
 operations / HB edges / CHC queries, vector-clock chain and clock-arena
 counters (clock_bytes / clock_merges / shared_clocks), intern and epoch
 fast-path hit counters, detect-phase virtual time, the SHB/WCP
-predictive-pass headline counters (wr_prediction candidates /
-observed_matched / predicted totals and WCP's dropped edges), the
+predictive-pass headline counters (wr_prediction pairs_checked /
+candidates / observed_matched / predicted totals and WCP's dropped
+edges), the
 wr_sampling attrition group when the run sampled, raw and
 filtered race totals per kind, filter attrition, and the
 static-analysis precision tallies with their per-guard-class breakdown)
@@ -53,9 +54,11 @@ HEADLINE_PATHS = [
     ("aggregate", "wr_sampling", "hot_locations"),
     ("aggregate", "phases", "detect", "virtual_us"),
     ("aggregate", "phases", "detect", "entries"),
+    ("aggregate", "wr_prediction", "shb", "pairs_checked"),
     ("aggregate", "wr_prediction", "shb", "candidates"),
     ("aggregate", "wr_prediction", "shb", "observed_matched"),
     ("aggregate", "wr_prediction", "shb", "predicted", "total"),
+    ("aggregate", "wr_prediction", "wcp", "pairs_checked"),
     ("aggregate", "wr_prediction", "wcp", "candidates"),
     ("aggregate", "wr_prediction", "wcp", "observed_matched"),
     ("aggregate", "wr_prediction", "wcp", "predicted", "total"),
