@@ -70,13 +70,6 @@ bool RaceDetector::isReader(const LocState &St, OpId Op) {
 }
 
 bool RaceDetector::pairConcurrent(OpId Prior, OpId Current) {
-  // The pair cache is sound only when the oracle's verdicts are
-  // immutable (the HB engines); predictive engines grow their clocks as
-  // accesses stream by, so every question goes straight to the oracle.
-  if (!Oracle->cacheableVerdicts()) {
-    ++ChcQueries;
-    return Oracle->concurrent(Prior, Current);
-  }
   uint64_t Key = (static_cast<uint64_t>(Prior) << 32) | Current;
   auto It = PairCache.find(Key);
   if (It != PairCache.end()) {
@@ -84,7 +77,7 @@ bool RaceDetector::pairConcurrent(OpId Prior, OpId Current) {
     return It->second;
   }
   ++ChcQueries;
-  bool Concurrent = Oracle->concurrent(Prior, Current);
+  bool Concurrent = Oracle.concurrent(Prior, Current);
   PairCache.emplace(Key, Concurrent);
   return Concurrent;
 }
@@ -96,17 +89,17 @@ bool RaceDetector::priorConcurrent(const Slot &S, OpId Current) {
   // before the higher one (HB edges strictly ascend), mirroring
   // HbGraph::ordering's single-probe discipline; CurEpoch is the current
   // op's epoch, fetched once per operation in onMemoryAccess.
-  if (S.E.Pos != 0 && Oracle->supportsEpochQueries()) {
+  if (S.E.Pos != 0 && Oracle.supportsEpochQueries()) {
     ++EpochHits;
     return S.Op < Current
-               ? !Oracle->epochOrdered(S.E.Chain, S.E.Pos, Current)
-               : !Oracle->epochOrdered(CurEpoch.Chain, CurEpoch.Pos, S.Op);
+               ? !Oracle.epochOrdered(S.E.Chain, S.E.Pos, Current)
+               : !Oracle.epochOrdered(CurEpoch.Chain, CurEpoch.Pos, S.Op);
   }
   return pairConcurrent(S.Op, Current);
 }
 
 bool RaceDetector::slotConcurrent(Slot &S, OpId Current) {
-  if (Oracle->cacheableVerdicts() && S.CheckedVs == Current) {
+  if (S.CheckedVs == Current) {
     ++EpochHits;
     return S.Concurrent;
   }
@@ -182,12 +175,12 @@ void RaceDetector::noteRead(LocState &St, const Access &A) {
     if (Cur.Op == A.Op)
       return; // Same-epoch re-read: the common case, no probe at all.
     if (Cur.Op < A.Op &&
-        Oracle->epochOrdered(Cur.E.Chain, Cur.E.Pos, A.Op)) {
+        Oracle.epochOrdered(Cur.E.Chain, Cur.E.Pos, A.Op)) {
       Cur = E; // Slide: the stored epoch is ordered before this reader.
       return;
     }
     if (Cur.Op > A.Op &&
-        Oracle->epochOrdered(CurEpoch.Chain, CurEpoch.Pos, Cur.Op))
+        Oracle.epochOrdered(CurEpoch.Chain, CurEpoch.Pos, Cur.Op))
       return; // An inline-dispatch split: the stored (newer) read is
               // ordered after this one and subsumes it.
     // A read concurrent with the stored epoch: inflate to the vector.
@@ -225,7 +218,7 @@ void RaceDetector::noteWrite(LocState &St, const Access &A,
   // the loop exits early. A same-op entry probes its own clock (its own
   // delta slot) and counts as dominated - program order within an op.
   for (const ReadEntry &E : St.ReadVec)
-    if (!Oracle->epochOrdered(E.E.Chain, E.E.Pos, A.Op))
+    if (!Oracle.epochOrdered(E.E.Chain, E.E.Pos, A.Op))
       return;
   if (St.Rep == ReadRep::Vector)
     ++ReadDeflations;
@@ -288,7 +281,7 @@ bool RaceDetector::sampleAccess(const Access &A, bool UseEpochs) {
   if (UseEpochs && Opts.Sampling.Strategy == sample::SamplingStrategy::PerPair) {
     if (A.Op != CurOp) {
       CurOp = A.Op;
-      CurEpoch = Oracle->epochOf(A.Op);
+      CurEpoch = Oracle.epochOf(A.Op);
     }
     PairCur = CurEpoch;
   }
@@ -306,18 +299,18 @@ void RaceDetector::onMemoryAccess(const Access &A) {
   // The sampling gate runs before any per-access work: a dropped access
   // is invisible to the detector (no counters, no slot state, no epoch
   // fetch) and is tallied by the sampler so attrition is never silent.
-  if (Sampler && !sampleAccess(A, Oracle->supportsEpochQueries()))
+  if (Sampler && !sampleAccess(A, Oracle.supportsEpochQueries()))
     return;
   ++AccessesSeen;
   if (A.Kind == AccessKind::Read)
     ++ReadsSeen;
-  bool UseEpochs = Oracle->supportsEpochQueries();
+  bool UseEpochs = Oracle.supportsEpochQueries();
   if (UseEpochs && A.Op != CurOp) {
     // One epoch fetch per operation (accesses stream contiguously per op
     // except across inline-dispatch splits); this also builds the clock
     // index up to the op, which every probe below relies on.
     CurOp = A.Op;
-    CurEpoch = Oracle->epochOf(A.Op);
+    CurEpoch = Oracle.epochOf(A.Op);
   }
   LocState &St = state(A.Loc);
   // Once the one-per-location race is out, no ordering verdict on this

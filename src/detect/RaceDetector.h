@@ -34,13 +34,14 @@
 /// common case), so per-tracked-location memory is O(1) unless a
 /// location actually sees concurrent readers.
 ///
-/// Oracles that cannot answer epoch probes (the DFS graph strategy and
-/// the predictive SHB/WCP engines) keep the legacy escalation path: the
-/// per-slot epoch verdict cache, the global (prior, current) pair cache
-/// when verdicts are immutable, and a generic oracle query otherwise.
-/// Race output is byte-identical across all of these paths; only the
-/// counters show which path answered (epoch_hits vs chc_queries, plus
-/// the wr_epochs group).
+/// The detector always runs over an HbGraph. Under its memoized-DFS
+/// strategy, which cannot answer epoch probes, questions take the legacy
+/// escalation path: the per-slot verdict cache, the global (prior,
+/// current) pair cache, and a generic oracle query on a miss. Race
+/// output is byte-identical across both paths; only the counters show
+/// which path answered (epoch_hits vs chc_queries, plus the wr_epochs
+/// group). The predictive SHB/WCP orders run in detect/Prediction.h, not
+/// here.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -118,25 +119,13 @@ RaceKind classifyRace(const Access &First, const Access &Second,
 /// The dynamic race detector; attach to a Browser as an instrumentation
 /// sink. \p Interner must be the interner that assigned the LocIds the
 /// sink will observe (the browser's online, the trace's offline) and must
-/// outlive the detector. The detector poses every ordering question to a
-/// PartialOrderEngine oracle; the HbGraph convenience constructor wraps
-/// the graph in an owned HbEngine, preserving the original behavior.
+/// outlive the detector, as must \p Hb. Every ordering question goes to
+/// \p Hb through an HbEngine.
 class RaceDetector final : public InstrumentationSink {
 public:
   RaceDetector(const HbGraph &Hb, const LocationInterner &Interner,
                DetectorOptions Opts = DetectorOptions())
-      : OwnedHb(std::make_unique<HbEngine>(Hb)), Oracle(OwnedHb.get()),
-        Interner(Interner), Opts(Opts) {
-    initSampler();
-  }
-
-  /// Runs over an externally owned engine (which must outlive the
-  /// detector). Caches are enabled only when the engine's verdicts are
-  /// immutable (cacheableVerdicts()).
-  RaceDetector(const PartialOrderEngine &Engine,
-               const LocationInterner &Interner,
-               DetectorOptions Opts = DetectorOptions())
-      : Oracle(&Engine), Interner(Interner), Opts(Opts) {
+      : Oracle(Hb), Interner(Interner), Opts(Opts) {
     initSampler();
   }
 
@@ -294,8 +283,7 @@ private:
   /// True iff \p Op is in the sorted reader set.
   static bool isReader(const LocState &St, OpId Op);
 
-  std::unique_ptr<HbEngine> OwnedHb; ///< Backs the HbGraph constructor.
-  const PartialOrderEngine *Oracle;
+  HbEngine Oracle;
   const LocationInterner &Interner;
   DetectorOptions Opts;
   /// Non-null iff Opts.Sampling.enabled(): the per-access gate.

@@ -2,8 +2,6 @@
 
 #include "hb/HbGraph.h"
 
-#include "support/Watermarks.h"
-
 #include <algorithm>
 
 using namespace wr;
@@ -89,7 +87,7 @@ void HbGraph::reserveOperations(size_t ExpectedOps) {
   Pred.reserve(ExpectedOps);
   InEdgeRules.reserve(ExpectedOps);
   VisitEpoch.reserve(ExpectedOps);
-  ClockReps.reserve(ExpectedOps);
+  Clocks.reserve(ExpectedOps);
 }
 
 void HbGraph::addEdge(OpId From, OpId To, HbRule Rule) {
@@ -97,7 +95,7 @@ void HbGraph::addEdge(OpId From, OpId To, HbRule Rule) {
   assert(From <= Ops.size() && To <= Ops.size() && "unknown operation");
   assert(From < To &&
          "HB edges must point from an older to a newer operation");
-  assert(ClockReps.size() < To && "in-edges must precede clock finalization");
+  assert(Clocks.built() < To && "in-edges must precede clock finalization");
   auto &Out = Succ[From - 1];
   if (std::find(Out.begin(), Out.end(), To) != Out.end())
     return; // Duplicate edge.
@@ -151,176 +149,12 @@ void HbGraph::resetQueryState() {
   ++MemoEpoch;
 }
 
-void HbGraph::buildClock(OpId Op) const {
-  // Clocks are built strictly in id order; predecessors are always lower
-  // ids, so their clocks already exist.
-  assert(ClockReps.size() + 1 == Op && "clocks must be built in order");
-  const OpList &Preds = Pred[Op - 1];
-
-  // Greedy chain packing (unchanged from the eager-copy representation,
-  // so chain assignment - and therefore numChains() and every report
-  // that mentions it - is bit-identical): the first predecessor in edge
-  // order that is still the tail of its chain donates its chain.
-  uint32_t PickedChain = UINT32_MAX;
-  uint32_t PickedPos = 0;
-  const ClockRep *Base = nullptr; ///< Clock the new op extends, if any.
-  for (OpId P : Preds) {
-    const ClockRep &PR = ClockReps[P - 1];
-    if (ChainTails[PR.DeltaChain] == P) {
-      PickedChain = PR.DeltaChain;
-      PickedPos = PR.DeltaPos + 1;
-      Base = &PR;
-      break;
-    }
-  }
-  if (PickedChain == UINT32_MAX) {
-    PickedChain = static_cast<uint32_t>(ChainTails.size());
-    PickedPos = 1;
-    ChainTails.push_back(Op);
-  } else {
-    ChainTails[PickedChain] = Op;
-  }
-
-  ClockRep R;
-  R.DeltaChain = PickedChain;
-  R.DeltaPos = PickedPos;
-
-  // Copy-on-write: when the op extends a predecessor's chain, the
-  // predecessor's own delta slot is the very slot the new op overrides,
-  // so aliasing the predecessor's base slab plus the new delta *is* the
-  // merged clock - as long as every other predecessor's watermarks are
-  // already dominated by it. Sharing is sound because the builder only
-  // adds edges to the newest operation: a finalized slab can never gain
-  // entries later, so an alias can never observe a mutation.
-  // Does predecessor \p PR's effective clock stay pointwise within the
-  // aliased clock (base slab R.Offset / R.Len), ignoring the picked
-  // chain's column? A rep's effective clock is its base slab with the
-  // delta slot overriding (and always >=) the base entry at DeltaChain,
-  // so the check splits into the delta slot plus a wide pointwise compare
-  // of the contiguous base slabs (support/Watermarks.h, two watermarks
-  // per uint64 step) with the two special columns carved out. The picked
-  // chain needs no check: no watermark can exceed its tail's position,
-  // which PickedPos exceeds by one.
-  auto aliasDominates = [&](const ClockRep &PR, const ClockRep &R) {
-    if (PR.DeltaChain != PickedChain) {
-      uint32_t Ours =
-          PR.DeltaChain < R.Len ? ClockPool[R.Offset + PR.DeltaChain] : 0;
-      if (PR.DeltaPos > Ours)
-        return false;
-    }
-    // Base-slab columns [Begin, End): pointwise <= the aliased slab where
-    // both cover the chain, zero where only PR does.
-    auto baseDominated = [&](uint32_t Begin, uint32_t End) {
-      if (Begin >= End)
-        return true;
-      const uint32_t *Theirs = ClockPool.data() + PR.Offset;
-      uint32_t Mid = std::min(End, R.Len);
-      if (Begin < Mid &&
-          !support::watermarksDominated(
-              Theirs + Begin, ClockPool.data() + R.Offset + Begin,
-              Mid - Begin))
-        return false;
-      uint32_t ZBegin = std::max(Begin, Mid);
-      return ZBegin >= End ||
-             support::watermarksAllZero(Theirs + ZBegin, End - ZBegin);
-    };
-    uint32_t S1 = std::min(PR.DeltaChain, PickedChain);
-    uint32_t S2 = std::max(PR.DeltaChain, PickedChain);
-    return baseDominated(0, std::min(S1, PR.Len)) &&
-           baseDominated(std::min(S1 + 1, PR.Len), std::min(S2, PR.Len)) &&
-           baseDominated(std::min(S2 + 1, PR.Len), PR.Len);
-  };
-
-  bool CanAlias = Base != nullptr || Preds.empty();
-  if (Base != nullptr) {
-    R.Offset = Base->Offset;
-    R.Len = Base->Len;
-    for (OpId P : Preds) {
-      const ClockRep &PR = ClockReps[P - 1];
-      if (&PR == Base)
-        continue;
-      if (!aliasDominates(PR, R)) {
-        CanAlias = false;
-        break;
-      }
-    }
-  }
-
-  if (CanAlias) {
-    ++SharedClocks;
-  } else {
-    // Materialize the merge: max over every predecessor's effective
-    // clock, written as a fresh slab at the end of the arena. The fresh
-    // slab is disjoint from every finalized slab, so the wide join's
-    // no-overlap requirement holds.
-    ++ClockMerges;
-    uint32_t Len = 0;
-    for (OpId P : Preds)
-      Len = std::max(Len, clockLenAt(P - 1));
-    uint32_t Offset = static_cast<uint32_t>(ClockPool.size());
-    ClockPool.resize(ClockPool.size() + Len, 0);
-    for (OpId P : Preds) {
-      const ClockRep &PR = ClockReps[P - 1];
-      support::watermarksJoinMax(ClockPool.data() + Offset,
-                                 ClockPool.data() + PR.Offset, PR.Len);
-      // The delta slot always dominates its own base entry, so a max
-      // lands the override.
-      uint32_t &Slot = ClockPool[Offset + PR.DeltaChain];
-      if (PR.DeltaPos > Slot)
-        Slot = PR.DeltaPos;
-    }
-    R.Offset = Offset;
-    R.Len = Len;
-  }
-
-  ClockReps.push_back(R);
-}
-
-void HbGraph::ensureClocks(OpId Op) const {
-  while (ClockReps.size() < Op)
-    buildClock(static_cast<OpId>(ClockReps.size() + 1));
-}
-
 bool HbGraph::reachesVectorClock(OpId A, OpId B) const {
   assert(A != InvalidOpId && B != InvalidOpId && "invalid OpId");
   if (A >= B)
     return false;
-  // Lazily extend the clock index up to B. Safe because all in-edges of an
-  // operation are added before any query can mention it as an endpoint.
-  ensureClocks(B);
-  const ClockRep &RA = ClockReps[A - 1];
-  return clockEntryAt(B - 1, RA.DeltaChain) >= RA.DeltaPos;
-}
-
-uint32_t HbGraph::chainOf(OpId Op) const {
-  assert(Op != InvalidOpId && Op <= Ops.size() && "invalid OpId");
-  ensureClocks(Op);
-  return ClockReps[Op - 1].DeltaChain;
-}
-
-uint32_t HbGraph::chainPositionOf(OpId Op) const {
-  assert(Op != InvalidOpId && Op <= Ops.size() && "invalid OpId");
-  ensureClocks(Op);
-  return ClockReps[Op - 1].DeltaPos;
-}
-
-uint32_t HbGraph::clockWatermark(OpId Op, uint32_t Chain) const {
-  assert(Op != InvalidOpId && Op <= Ops.size() && "invalid OpId");
-  ensureClocks(Op);
-  return clockEntryAt(Op - 1, Chain);
-}
-
-uint64_t HbGraph::fullCopyClockBytes() const {
-  // Model the eager representation this index replaced: per op, one
-  // std::vector<uint32_t> (header + one heap word per covered chain) and
-  // one (chain, pos) assignment record.
-  uint64_t Words = 0;
-  for (uint32_t I = 0; I < ClockReps.size(); ++I)
-    Words += clockLenAt(I);
-  return Words * sizeof(uint32_t) +
-         ClockReps.size() *
-             (sizeof(std::vector<uint32_t>) + 2 * sizeof(uint32_t)) +
-         ChainTails.size() * sizeof(OpId);
+  const ClockIndex &Index = clocks(B);
+  return Index.ordered(Index.epochOf(A), B);
 }
 
 bool HbGraph::findDirectEdgeRule(OpId From, OpId To, HbRule &RuleOut) const {

@@ -24,16 +24,8 @@
 ///
 ///  * VectorClock: the chain-decomposition vector-clock representation the
 ///    paper names as future work (and which the follow-up EventRacer system
-///    adopted). Operations are greedily packed into chains; each operation
-///    carries a clock of per-chain watermarks; reachability is an O(1)
-///    clock lookup. Clocks live in one contiguous arena (a uint32_t pool
-///    plus a small per-op record) and are shared copy-on-write: an
-///    operation that merely extends its predecessor's chain aliases the
-///    predecessor's clock slab and overrides one slot, and a
-///    multi-predecessor merge only materializes a new slab when some
-///    predecessor's watermarks are not already dominated by the base. See
-///    DESIGN.md "Near-linear HB index" for why sharing is sound under the
-///    edges-only-target-the-newest-op builder contract.
+///    adopted): a ClockIndex (hb/ClockIndex.h) over every edge, built
+///    lazily in id order, so reachability is an O(1) clock lookup.
 ///
 /// `bench/ablation_hb_repr` compares the two; `bench/hb_scaling` pins the
 /// build-cost and clock-memory behavior at growing operation counts.
@@ -43,6 +35,7 @@
 #ifndef WEBRACER_HB_HBGRAPH_H
 #define WEBRACER_HB_HBGRAPH_H
 
+#include "hb/ClockIndex.h"
 #include "hb/Operation.h"
 #include "support/InlineVec.h"
 
@@ -100,26 +93,6 @@ const char *toString(Ordering O);
 /// per-rule counter arrays.
 inline constexpr size_t NumHbRules =
     static_cast<size_t>(HbRule::RProgram) + 1;
-
-/// The vector-clock index's compact name for one operation: its chain and
-/// 1-based position within that chain. This is the FastTrack/VerifiedFT
-/// "epoch" the race detector stores per location slot: the op holding
-/// epoch (c, p) happens-before B iff B's watermark for chain c is >= p -
-/// one clock probe, no pair-cache entry. Pos 0 never names a real
-/// operation (positions are 1-based), so a default ClockEpoch is the
-/// "no epoch recorded" sentinel.
-struct ClockEpoch {
-  uint32_t Chain = 0;
-  uint32_t Pos = 0;
-
-  /// The epoch as one word ((Chain << 32) | Pos). The sampling layer's
-  /// per-pair strategy keys its hash on this instead of raw OpIds:
-  /// chain assignment is deterministic for a fixed seed, so pair keys
-  /// survive OpId renumbering between a recording and its replay.
-  uint64_t packed() const {
-    return (static_cast<uint64_t>(Chain) << 32) | Pos;
-  }
-};
 
 /// The happens-before DAG. Operations are created through `addOperation`
 /// and edges through `addEdge`; the builder contract is that every edge
@@ -241,41 +214,36 @@ public:
   void resetQueryState();
 
   /// Number of chains the vector-clock index currently uses.
-  size_t numChains() const { return ChainTails.size(); }
+  size_t numChains() const { return Clocks.numChains(); }
 
   /// Chain the vector-clock index assigned to \p Op (0-based), building
   /// the index up to \p Op if needed.
-  uint32_t chainOf(OpId Op) const;
+  uint32_t chainOf(OpId Op) const { return epochOf(Op).Chain; }
 
   /// 1-based position of \p Op within chainOf(Op).
-  uint32_t chainPositionOf(OpId Op) const;
+  uint32_t chainPositionOf(OpId Op) const { return epochOf(Op).Pos; }
 
   /// The watermark \p Op holds for \p Chain: the position of the latest
   /// operation of that chain that happens-before \p Op (its own position
   /// on its own chain); 0 when no operation of the chain is ordered
   /// before \p Op. Builds the index up to \p Op if needed.
-  uint32_t clockWatermark(OpId Op, uint32_t Chain) const;
+  uint32_t clockWatermark(OpId Op, uint32_t Chain) const {
+    return clocks(Op).watermark(Op, Chain);
+  }
 
   /// The (chain, position) epoch of \p Op, building the index up to
   /// \p Op if needed. epochOf(A) together with epochOrdered() answers
   /// exactly the same question as reachesVectorClock(A, B).
-  ClockEpoch epochOf(OpId Op) const {
-    assert(Op != InvalidOpId && Op <= Ops.size() && "invalid OpId");
-    ensureClocks(Op);
-    const ClockRep &R = ClockReps[Op - 1];
-    return {R.DeltaChain, R.DeltaPos};
-  }
+  ClockEpoch epochOf(OpId Op) const { return clocks(Op).epochOf(Op); }
 
   /// True iff the operation holding epoch (\p Chain, \p Pos) happens-
-  /// before \p Op: one clockEntryAt probe, no pair-cache entry. Correct
-  /// for any id relation between the epoch's owner and \p Op - chain
-  /// positions grow with operation id along a chain, so the watermark of
-  /// an older op can never reach a newer op's position.
+  /// before \p Op: one clock probe, no pair-cache entry. Correct for any
+  /// id relation between the epoch's owner and \p Op - chain positions
+  /// grow with operation id along a chain, so the watermark of an older
+  /// op can never reach a newer op's position.
   bool epochOrdered(uint32_t Chain, uint32_t Pos, OpId Op) const {
-    assert(Op != InvalidOpId && Op <= Ops.size() && "invalid OpId");
     assert(Pos != 0 && "epoch positions are 1-based");
-    ensureClocks(Op);
-    return clockEntryAt(Op - 1, Chain) >= Pos;
+    return clocks(Op).ordered({Chain, Pos}, Op);
   }
   bool epochOrdered(ClockEpoch E, OpId Op) const {
     return epochOrdered(E.Chain, E.Pos, Op);
@@ -285,26 +253,21 @@ public:
   /// arena, the fixed per-operation clock records, and the per-chain tail
   /// table (so the memory gates in bench/hb_scaling measure the honest
   /// total, not just the slabs).
-  uint64_t clockBytes() const {
-    return ClockPool.size() * sizeof(uint32_t) +
-           ClockReps.size() * sizeof(ClockRep) +
-           ChainTails.size() * sizeof(OpId);
-  }
+  uint64_t clockBytes() const { return Clocks.bytes(); }
 
   /// Bytes the same index would hold if every operation materialized its
   /// own full watermark vector (one std::vector<uint32_t> plus a chain
   /// assignment per op, and the same chain-tail table) - the pre-arena
-  /// representation; the baseline of bench/hb_scaling's memory-reduction
-  /// gate.
-  uint64_t fullCopyClockBytes() const;
+  /// representation.
+  uint64_t fullCopyClockBytes() const { return Clocks.fullCopyBytes(); }
 
   /// Operations whose clock aliases their predecessor's slab (or needed
   /// no slab at all) instead of materializing a copy.
-  uint64_t sharedClocks() const { return SharedClocks; }
+  uint64_t sharedClocks() const { return Clocks.sharedClocks(); }
 
   /// Multi-predecessor merges that had to materialize a new slab because
   /// some predecessor watermark was not dominated by the base clock.
-  uint64_t clockMerges() const { return ClockMerges; }
+  uint64_t clockMerges() const { return Clocks.merges(); }
 
   /// Returns the rule that justifies a direct edge From -> To, if any.
   /// Useful for explaining why two accesses are ordered.
@@ -319,34 +282,12 @@ public:
   uint64_t dfsVisitCount() const { return DfsVisits; }
 
 private:
-  /// One operation's clock: a base slab of per-chain watermarks in
-  /// ClockPool (shared with the predecessor in the copy-on-write case)
-  /// plus a one-slot delta for the operation's own chain. The effective
-  /// watermark of chain c is DeltaPos if c == DeltaChain, else
-  /// ClockPool[Offset + c] if c < Len, else 0.
-  struct ClockRep {
-    uint32_t Offset = 0;     ///< Base slab start in ClockPool.
-    uint32_t Len = 0;        ///< Base slab length (chains covered).
-    uint32_t DeltaChain = 0; ///< The op's own chain (override slot).
-    uint32_t DeltaPos = 0;   ///< 1-based position within DeltaChain.
-  };
-
-  void buildClock(OpId Op) const;
-  void ensureClocks(OpId Op) const;
-
-  /// Effective watermark of \p Chain in the clock of op index \p Idx0
-  /// (0-based).
-  uint32_t clockEntryAt(uint32_t Idx0, uint32_t Chain) const {
-    const ClockRep &R = ClockReps[Idx0];
-    if (Chain == R.DeltaChain)
-      return R.DeltaPos;
-    return Chain < R.Len ? ClockPool[R.Offset + Chain] : 0;
-  }
-
-  /// Chains covered by the clock of op index \p Idx0.
-  uint32_t clockLenAt(uint32_t Idx0) const {
-    const ClockRep &R = ClockReps[Idx0];
-    return R.Len > R.DeltaChain + 1 ? R.Len : R.DeltaChain + 1;
+  /// The clock index, built up to \p Op. Lazy building is safe because
+  /// every in-edge of an operation is added before any query names it.
+  const ClockIndex &clocks(OpId Op) const {
+    assert(Op != InvalidOpId && Op <= Ops.size() && "invalid OpId");
+    Clocks.ensure(Op, Pred);
+    return Clocks;
   }
 
   std::vector<Operation> Ops;
@@ -371,13 +312,8 @@ private:
   mutable uint64_t DfsVisits = 0;
   mutable uint64_t MemoHits = 0;
 
-  // Vector clocks: one contiguous watermark arena plus a fixed-size
-  // record per operation (built lazily in id order).
-  mutable std::vector<uint32_t> ClockPool;
-  mutable std::vector<ClockRep> ClockReps;
-  mutable std::vector<OpId> ChainTails; ///< Last op of each chain.
-  mutable uint64_t SharedClocks = 0;
-  mutable uint64_t ClockMerges = 0;
+  /// Vector clocks over every edge, built lazily in id order.
+  mutable ClockIndex Clocks;
 
   /// Matches the session default (every engine but HbDfs uses clocks),
   /// so a bare graph and a session-built one answer happensBefore() the

@@ -10,11 +10,11 @@
 /// is just one of several orders a recorded trace can be analyzed under:
 ///
 ///  * Hb / HbDfs - the paper's happens-before relation, answered by the
-///    existing HbGraph (vector clocks or memoized DFS). Verdicts between
-///    existing operations are immutable, so they may be cached.
-///  * Shb / Wcp (PredictiveEngine.h) - weaker/stronger orders for race
-///    *prediction* over replayed traces; their verdicts evolve as the
-///    trace streams by, so caching is forbidden (cacheableVerdicts()).
+///    existing HbGraph (vector clocks or memoized DFS). The race detector
+///    runs over these. Verdicts between existing operations never change.
+///  * Shb / Wcp (PredictiveEngine.h) - orders for race *prediction* over
+///    replayed traces, driven by detect/Prediction.h; their verdicts
+///    evolve as the trace streams by.
 ///
 /// Engines receive the replayed trace through the three hook methods
 /// (operation creation, rule-tagged HB edges, memory accesses) plus an
@@ -68,11 +68,6 @@ public:
       return false;
     return ordering(A, B) == Ordering::Concurrent;
   }
-
-  /// True when a verdict between two existing operations can never
-  /// change, so detector-side epoch/pair caches are sound. Predictive
-  /// engines grow clocks as accesses stream by and must return false.
-  virtual bool cacheableVerdicts() const { return true; }
 
   /// True when this engine can name operations by (chain, position)
   /// epochs and answer epoch-ordering probes with one O(1) clock lookup

@@ -2,8 +2,6 @@
 
 #include "hb/PredictiveEngine.h"
 
-#include "support/Watermarks.h"
-
 #include <algorithm>
 #include <cassert>
 
@@ -12,96 +10,55 @@ using namespace wr;
 void PredictiveEngine::onOperationCreated(OpId Op, const Operation &Meta) {
   (void)Op;
   (void)Meta;
-  assert(Op == Clocks.size() + 1 && "operations must arrive in id order");
-  Clocks.emplace_back();
+  assert(Op == Preds.size() + 1 && "operations must arrive in id order");
   Preds.emplace_back();
 }
 
 void PredictiveEngine::onHbEdge(OpId From, OpId To, HbRule Rule) {
   assert(From != InvalidOpId && To != InvalidOpId && From < To &&
          "HB edges must point from an older to a newer operation");
-  assert(To <= Clocks.size() && "edge targets an unknown operation");
-  assert(Finalized < To && "in-edges must precede clock finalization");
+  assert(To <= Preds.size() && "edge targets an unknown operation");
+  assert(Clocks.built() < To && "in-edges must precede clock finalization");
   if (!keepEdge(From, To, Rule)) {
     ++DroppedEdges;
     return;
   }
-  std::vector<OpId> &In = Preds[To - 1];
+  ClockIndex::OpList &In = Preds[To - 1];
   if (std::find(In.begin(), In.end(), From) == In.end())
     In.push_back(From);
 }
 
-void PredictiveEngine::joinInto(std::vector<uint32_t> &Dst,
-                                const std::vector<uint32_t> &Src) {
-  if (&Dst == &Src)
-    return; // Self-join is a no-op (and would violate no-overlap).
-  if (Src.size() > Dst.size())
-    Dst.resize(Src.size(), 0);
-  support::watermarksJoinMax(Dst.data(), Src.data(), Src.size());
-}
-
-void PredictiveEngine::finalizeThrough(OpId Op) const {
-  assert(Op <= Clocks.size() && "access names an unknown operation");
-  for (OpId Cur = Finalized + 1; Cur <= Op; ++Cur) {
-    OpClock &C = Clocks[Cur - 1];
-    // Greedy chain packing, mirroring HbGraph: the first predecessor (in
-    // edge order) that is still its chain's tail donates its chain.
-    uint32_t Chain = static_cast<uint32_t>(ChainTails.size());
-    uint32_t Pos = 1;
-    for (OpId P : Preds[Cur - 1]) {
-      const OpClock &PC = Clocks[P - 1];
-      if (ChainTails[PC.Chain] == P) {
-        Chain = PC.Chain;
-        Pos = PC.Pos + 1;
-        break;
-      }
-    }
-    if (Chain == ChainTails.size())
-      ChainTails.push_back(Cur);
-    else
-      ChainTails[Chain] = Cur;
-    C.Chain = Chain;
-    C.Pos = Pos;
-    for (OpId P : Preds[Cur - 1])
-      joinInto(C.Clock, Clocks[P - 1].Clock);
-    if (C.Clock.size() <= Chain)
-      C.Clock.resize(Chain + 1, 0);
-    C.Clock[Chain] = Pos;
-  }
-  Finalized = std::max(Finalized, Op);
-}
-
 void PredictiveEngine::onMemoryAccess(const Access &A) {
-  assert(A.Op != InvalidOpId && "access without an operation");
-  finalizeThrough(A.Op);
-  OpClock &C = Clocks[A.Op - 1];
+  assert(A.Op != InvalidOpId && A.Op <= Preds.size() &&
+         "access names an unknown operation");
+  Clocks.ensure(A.Op, Preds);
   if (A.Kind == AccessKind::Read) {
     // Write-read edge: the reader observes the last writer's value, so
     // in every schedule this order admits, that write stays before this
     // read - join the last-write clock.
-    auto It = LastWriteClock.find(A.Loc);
-    if (It != LastWriteClock.end())
-      joinInto(C.Clock, It->second);
+    if (A.Loc < LastWrite.size())
+      Clocks.join(A.Op, LastWrite[A.Loc]);
     return;
   }
-  LastWriteClock[A.Loc] = C.Clock;
+  if (A.Loc >= LastWrite.size())
+    LastWrite.resize(A.Loc + 1);
+  LastWrite[A.Loc] = Clocks.rep(A.Op);
 }
 
 Ordering PredictiveEngine::ordering(OpId A, OpId B) const {
   assert(A != InvalidOpId && B != InvalidOpId && A != B &&
          "ordering() requires two distinct valid operations");
   // The driver asks about an access's operation before that access
-  // reaches onMemoryAccess (check-then-update), so queries finalize
-  // lazily, exactly like HbGraph's clock index.
-  finalizeThrough(std::max(A, B));
+  // reaches onMemoryAccess (check-then-update), so queries build clocks
+  // lazily, exactly like HbGraph.
+  Clocks.ensure(std::max(A, B), Preds);
   // Write-read joins can order a higher id before a lower one (an op
   // created later may run earlier), so unlike HbGraph both directions
-  // must be probed. Both cannot hold: trace order is acyclic.
-  const OpClock &CA = Clocks[A - 1];
-  const OpClock &CB = Clocks[B - 1];
-  if (CA.Chain < CB.Clock.size() && CB.Clock[CA.Chain] >= CA.Pos)
+  // must be probed. Both hold only in the own-chain case (DESIGN.md
+  // "Near-linear HB index"), where Before wins.
+  if (Clocks.ordered(Clocks.epochOf(A), B))
     return Ordering::Before;
-  if (CB.Chain < CA.Clock.size() && CA.Clock[CB.Chain] >= CB.Pos)
+  if (Clocks.ordered(Clocks.epochOf(B), A))
     return Ordering::After;
   return Ordering::Concurrent;
 }

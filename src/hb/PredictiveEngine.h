@@ -6,8 +6,9 @@
 ///
 /// \file
 /// Predictive partial-order engines that run over a replayed trace's
-/// event stream and answer ordering queries from their own incremental
-/// vector clocks (independent of HbGraph's arena index):
+/// event stream and answer ordering queries from a ClockIndex
+/// (hb/ClockIndex.h), the index HbGraph uses, fed with the edges each
+/// order keeps:
 ///
 ///  * ShbEngine - schedulable happens-before ("What Happens-After the
 ///    First Race?"): the observed HB edges plus a write-read edge from
@@ -35,14 +36,17 @@
 ///    real platform guarantees; see DESIGN.md).
 ///
 /// Because clocks grow as accesses stream by (a reader's clock gains the
-/// last writer's), verdicts between existing operations are mutable:
-/// cacheableVerdicts() is false and drivers must not memoize.
+/// last writer's), verdicts between existing operations are mutable, and
+/// a write-read edge can order a higher id before a lower one. The
+/// detector's epoch path assumes neither, so these engines serve the
+/// prediction driver (detect/Prediction.h) only.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef WEBRACER_HB_PREDICTIVEENGINE_H
 #define WEBRACER_HB_PREDICTIVEENGINE_H
 
+#include "hb/ClockIndex.h"
 #include "hb/PartialOrderEngine.h"
 
 #include <unordered_map>
@@ -50,29 +54,30 @@
 
 namespace wr {
 
-/// Shared incremental vector-clock machinery for the predictive orders.
-/// Operations are greedily packed into chains exactly like HbGraph's
-/// index (first predecessor, in edge order, that is still its chain's
-/// tail donates the chain); each operation carries a full per-chain
-/// watermark vector, finalized lazily in id order when the first access
-/// with an equal-or-higher operation id arrives. That is sound for the
-/// same reason HbGraph's lazy index is: the builder contract guarantees
-/// every in-edge of an operation precedes the first access that could
-/// query it (HbGraph asserts this during recording).
+/// Shared machinery of the predictive orders: the kept in-edges of every
+/// operation feed a ClockIndex, built lazily in id order when an access
+/// or a query first needs an operation's clock (sound because every
+/// in-edge of an operation precedes its first access). A write snapshots
+/// its operation's clock as the location's last-write clock; a read joins
+/// that snapshot into its own operation's clock.
 class PredictiveEngine : public PartialOrderEngine {
 public:
   Ordering ordering(OpId A, OpId B) const override;
-  bool cacheableVerdicts() const override { return false; }
 
   void onOperationCreated(OpId Op, const Operation &Meta) override;
   void onHbEdge(OpId From, OpId To, HbRule Rule) override;
   void onMemoryAccess(const Access &A) override;
 
   /// Chains the incremental index uses so far.
-  size_t numChains() const { return ChainTails.size(); }
+  size_t numChains() const { return Clocks.numChains(); }
 
   /// HB edges this engine's order dropped (WCP's weakening; 0 for SHB).
   uint64_t droppedEdges() const { return DroppedEdges; }
+
+  /// Bytes of clock state: the index plus the last-write clocks.
+  uint64_t clockBytes() const {
+    return Clocks.bytes() + LastWrite.size() * sizeof(ClockIndex::ClockRep);
+  }
 
 protected:
   /// Engine-specific edge filter; returning false excludes the edge from
@@ -85,28 +90,12 @@ protected:
   }
 
 private:
-  struct OpClock {
-    uint32_t Chain = 0;
-    uint32_t Pos = 0; ///< 1-based position within Chain; 0 = unfinalized.
-    std::vector<uint32_t> Clock;
-  };
-
-  /// Builds clocks for every unfinalized operation with id <= Op, in id
-  /// order (HB edges ascend, so predecessors are always finalized
-  /// first). Const because queries finalize lazily - the driver's
-  /// check-then-update discipline asks about an access's operation
-  /// before the access reaches onMemoryAccess - which is sound for the
-  /// same builder-contract reason as HbGraph's lazy index: every
-  /// in-edge of an operation precedes its first access.
-  void finalizeThrough(OpId Op) const;
-  static void joinInto(std::vector<uint32_t> &Dst,
-                       const std::vector<uint32_t> &Src);
-
-  mutable std::vector<OpClock> Clocks;       ///< Indexed Op - 1.
-  std::vector<std::vector<OpId>> Preds;      ///< Kept in-edges, edge order.
-  mutable std::vector<OpId> ChainTails;
-  std::unordered_map<LocId, std::vector<uint32_t>> LastWriteClock;
-  mutable OpId Finalized = 0; ///< Clocks built for all ops <= Finalized.
+  std::vector<ClockIndex::OpList> Preds; ///< Kept in-edges, edge order.
+  /// Const queries build clocks lazily - the driver asks about an
+  /// access's operation before the access reaches onMemoryAccess.
+  mutable ClockIndex Clocks;
+  /// Last-write clock per LocId; the default rep is the empty clock.
+  std::vector<ClockIndex::ClockRep> LastWrite;
   uint64_t DroppedEdges = 0;
 };
 

@@ -4,6 +4,7 @@
 
 #include "support/Format.h"
 
+#include <algorithm>
 #include <cassert>
 #include <climits>
 #include <cstring>
@@ -478,6 +479,13 @@ bool TraceLog::deserialize(const std::string &Bytes, TraceLog &Out,
   if (!R.getVar(Count))
     return Fail(R.error());
   Out.Events.reserve(static_cast<size_t>(Count));
+  // The structure replay relies on: creation ids run 1, 2, ...; an edge
+  // joins two created operations, older to newer; an access names a
+  // created operation; and every in-edge of an operation arrives before
+  // any access by it or a newer one, since the lazy clock indexes build
+  // an operation's clock at such an access.
+  OpId Created = InvalidOpId;
+  OpId Accessed = InvalidOpId; ///< Highest operation an access named.
   for (uint64_t I = 0; I < Count; ++I) {
     TraceEvent E;
     if (!R.getEnum(E.K, static_cast<uint8_t>(EventKind::Dispatch),
@@ -486,7 +494,10 @@ bool TraceLog::deserialize(const std::string &Bytes, TraceLog &Out,
     bool Ok = true;
     switch (E.K) {
     case EventKind::OpCreated:
-      Ok = R.getNarrow(E.Op, "bad op id") && R.getOperation(E.Meta);
+      Ok = R.getNarrow(E.Op, "bad op id") &&
+           (E.Op == Created + 1 || R.fail("operation id out of sequence")) &&
+           R.getOperation(E.Meta);
+      Created = E.Op;
       break;
     case EventKind::OpBegin:
       Ok = R.getNarrow(E.Op, "bad op id");
@@ -498,12 +509,19 @@ bool TraceLog::deserialize(const std::string &Bytes, TraceLog &Out,
       Ok = R.getNarrow(E.Op, "bad op id") &&
            R.getNarrow(E.Op2, "bad op id") &&
            R.getEnum(E.Rule, static_cast<uint8_t>(HbRule::RProgram),
-                     "bad hb rule");
+                     "bad hb rule") &&
+           ((E.Op != InvalidOpId && E.Op < E.Op2 && E.Op2 <= Created) ||
+            R.fail("edge endpoints out of range")) &&
+           (E.Op2 > Accessed ||
+            R.fail("edge into an operation after an access by it or a "
+                   "newer one"));
       break;
     case EventKind::MemAccess:
-      Ok = R.getAccess(E.Mem, Out.Interner, V2);
-      if (Ok)
-        E.Op = E.Mem.Op;
+      Ok = R.getAccess(E.Mem, Out.Interner, V2) &&
+           ((E.Mem.Op != InvalidOpId && E.Mem.Op <= Created) ||
+            R.fail("access by an operation never created"));
+      E.Op = E.Mem.Op;
+      Accessed = std::max(Accessed, E.Op);
       break;
     case EventKind::Dispatch:
       int64_t DispatchIndex;

@@ -127,9 +127,13 @@ public:
 
   /// Decodes \p Bytes (WRT2 or legacy WRT1) into \p Out. Returns false
   /// (and sets \p Error when given) on a bad header, truncation,
-  /// out-of-range enum values, a corrupt location table, or an access
-  /// referencing a location id the table does not define; \p Out is left
-  /// cleared on failure.
+  /// out-of-range enum values, a corrupt location table, an access
+  /// referencing a location id the table does not define, or a stream
+  /// replay cannot build clocks from: creation ids that are not 1, 2,
+  /// ...; an edge not from an older to a newer created operation; an
+  /// edge into an operation after an access by it or a newer one; an
+  /// access by an operation never created. \p Out is left cleared on
+  /// failure.
   static bool deserialize(const std::string &Bytes, TraceLog &Out,
                           std::string *Error = nullptr);
 

@@ -24,10 +24,9 @@
 ///    and stay the reference semantics (support_test checks the public
 ///    entry points against them lane-for-lane on randomized inputs).
 ///
-/// Used by HbGraph's copy-on-write alias check and slab merge and by the
-/// SHB/WCP PredictiveEngine clock mirror, so the three call sites cannot
-/// drift apart. bench/hb_scaling prints the measured bytes/ns per join
-/// for whichever tier this build selected.
+/// Used by the domination check and slab merges of hb/ClockIndex.h, the
+/// one clock index every order builds on. bench/hb_scaling prints the
+/// measured bytes/ns per join for whichever tier this build selected.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -2,7 +2,7 @@
 //
 // The vector-clock index rests on a greedy chain decomposition of the HB
 // DAG. These tests pin its structural invariants, which every
-// copy-on-write sharing decision in HbGraph::buildClock relies on:
+// copy-on-write sharing decision in ClockIndex::build relies on:
 //
 //  * the chains partition the operations (every op in exactly one chain),
 //  * positions within each chain are dense and 1-based, so the tail's

@@ -278,4 +278,58 @@ TEST(HbGraphTest, ResetQueryStateKeepsAnswersCorrect) {
       }
 }
 
+//===----------------------------------------------------------------------===//
+// ClockIndex joins (the predictive orders' write-read edges)
+//===----------------------------------------------------------------------===//
+
+/// Ops 1 and 2 share chain 0 (edge 1 -> 2); op 3 starts chain 1.
+struct ThreeOps {
+  std::vector<ClockIndex::OpList> Preds{3};
+  ClockIndex Index;
+
+  ThreeOps() {
+    Preds[1].push_back(1);
+    Index.ensure(3, Preds);
+  }
+};
+
+TEST(ClockIndexTest, JoinLiftsOwnChainAboveOwnPosition) {
+  // Op 2 took op 1's chain; joining op 2's clock into op 1 orders each
+  // before the other, while op 1 keeps its epoch.
+  ThreeOps T;
+  T.Index.join(1, T.Index.rep(2));
+  EXPECT_EQ(T.Index.epochOf(1).Pos, 1u);
+  EXPECT_EQ(T.Index.watermark(1, 0), 2u);
+  EXPECT_TRUE(T.Index.ordered(T.Index.epochOf(2), 1));
+  EXPECT_TRUE(T.Index.ordered(T.Index.epochOf(1), 2));
+  EXPECT_FALSE(T.Index.ordered(T.Index.epochOf(3), 1));
+}
+
+TEST(ClockIndexTest, DominatedJoinWritesNothing) {
+  ThreeOps T;
+  uint64_t Bytes = T.Index.bytes();
+  T.Index.join(2, T.Index.rep(1));        // Already ordered.
+  T.Index.join(3, ClockIndex::ClockRep()); // The empty clock.
+  T.Index.join(3, T.Index.rep(3));         // Itself.
+  EXPECT_EQ(T.Index.bytes(), Bytes);
+  T.Index.join(3, T.Index.rep(1));
+  EXPECT_GT(T.Index.bytes(), Bytes);
+  EXPECT_TRUE(T.Index.ordered(T.Index.epochOf(1), 3));
+}
+
+TEST(ClockIndexTest, SnapshotsKeepTheirClockAndSlabColumnsCount) {
+  ThreeOps T;
+  ClockIndex::ClockRep Before = T.Index.rep(3); // Op 3 knows only itself.
+  T.Index.join(3, T.Index.rep(2));
+  // The earlier snapshot does not see op 3's later join.
+  T.Index.join(1, Before);
+  EXPECT_EQ(T.Index.watermark(1, 1), 1u);
+  EXPECT_EQ(T.Index.watermark(1, 0), 1u);
+  // Op 1 already holds op 3's epoch, so only the snapshot's slab column
+  // on op 1's own chain (op 2's position) makes this join matter.
+  T.Index.join(1, T.Index.rep(3));
+  EXPECT_EQ(T.Index.watermark(1, 0), 2u);
+  EXPECT_TRUE(T.Index.ordered(T.Index.epochOf(2), 1));
+}
+
 } // namespace

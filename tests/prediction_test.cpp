@@ -82,7 +82,6 @@ TEST(ShbEngineTest, KeptEdgesOrderLikeHappensBefore) {
   EXPECT_TRUE(E.concurrent(2, 3));
   EXPECT_TRUE(E.happensBefore(1, 3));
   EXPECT_EQ(E.droppedEdges(), 0u);
-  EXPECT_FALSE(E.cacheableVerdicts());
 }
 
 TEST(ShbEngineTest, WriteReadJoinOrdersLaterIdBeforeEarlier) {

@@ -186,6 +186,123 @@ TEST(TraceSerdeTest, RejectsCorruptLocationTable) {
   EXPECT_TRUE(Out.empty());
 }
 
+/// Op 1 creates op 2 (edge 1 -> 2) and op 2 writes x: a well-formed
+/// stream for the structural-rule tests to break one rule at a time.
+TraceLog structuredTrace() {
+  TraceLog Log;
+  Log.onOperationCreated(1, Operation());
+  Log.onOperationCreated(2, Operation());
+  Log.onHbEdge(1, 2, HbRule::R16_SetTimeout);
+  Access A;
+  A.Kind = AccessKind::Write;
+  A.Op = 2;
+  A.Loc = Log.interner().intern(JSVarLoc{0, "x"});
+  Log.onMemoryAccess(A);
+  return Log;
+}
+
+void addAccess(TraceLog &Log, OpId Op) {
+  Access A;
+  A.Kind = AccessKind::Read;
+  A.Op = Op;
+  A.Loc = 0;
+  Log.onMemoryAccess(A);
+}
+
+/// Decoding \p Log must fail with \p Message at some offset and leave the
+/// output cleared.
+void expectRejected(const TraceLog &Log, const std::string &Message) {
+  TraceLog Out;
+  Out.onOperationBegin(99);
+  std::string Error;
+  EXPECT_FALSE(TraceLog::deserialize(Log.serialize(), Out, &Error));
+  EXPECT_NE(Error.find(Message + " at offset "), std::string::npos) << Error;
+  EXPECT_TRUE(Out.empty());
+}
+
+TEST(TraceSerdeTest, StructuredTraceDecodes) {
+  TraceLog Out;
+  std::string Error;
+  EXPECT_TRUE(TraceLog::deserialize(structuredTrace().serialize(), Out, &Error))
+      << Error;
+  EXPECT_EQ(Out.size(), 4u);
+}
+
+TEST(TraceSerdeTest, RejectsOperationIdsOutOfSequence) {
+  TraceLog First;
+  First.onOperationCreated(7, Operation());
+  expectRejected(First, "operation id out of sequence");
+
+  TraceLog Gap = structuredTrace();
+  Gap.onOperationCreated(4, Operation());
+  expectRejected(Gap, "operation id out of sequence");
+
+  TraceLog Repeat = structuredTrace();
+  Repeat.onOperationCreated(2, Operation());
+  expectRejected(Repeat, "operation id out of sequence");
+}
+
+TEST(TraceSerdeTest, RejectsEdgesOutOfRange) {
+  TraceLog FromZero;
+  FromZero.onOperationCreated(1, Operation());
+  FromZero.onHbEdge(InvalidOpId, 1, HbRule::RProgram);
+  expectRejected(FromZero, "edge endpoints out of range");
+
+  TraceLog ToUnknown = structuredTrace();
+  ToUnknown.onHbEdge(1, 3, HbRule::RProgram);
+  expectRejected(ToUnknown, "edge endpoints out of range");
+
+  TraceLog Backward;
+  Backward.onOperationCreated(1, Operation());
+  Backward.onOperationCreated(2, Operation());
+  Backward.onHbEdge(2, 1, HbRule::RProgram);
+  expectRejected(Backward, "edge endpoints out of range");
+
+  TraceLog SelfLoop;
+  SelfLoop.onOperationCreated(1, Operation());
+  SelfLoop.onHbEdge(1, 1, HbRule::RProgram);
+  expectRejected(SelfLoop, "edge endpoints out of range");
+}
+
+TEST(TraceSerdeTest, RejectsEdgeAfterAccessByTargetOrNewerOperation) {
+  // Op 2 already accessed memory, so its clock exists: a later in-edge
+  // of op 2 would be missing from it.
+  TraceLog IntoAccessed = structuredTrace();
+  IntoAccessed.onHbEdge(1, 2, HbRule::RProgram);
+  expectRejected(IntoAccessed,
+                 "edge into an operation after an access by it or a newer "
+                 "one");
+
+  // Op 3 is created before op 4's access but gains an edge after it.
+  TraceLog BelowAccessed = structuredTrace();
+  BelowAccessed.onOperationCreated(3, Operation());
+  BelowAccessed.onOperationCreated(4, Operation());
+  addAccess(BelowAccessed, 4);
+  BelowAccessed.onHbEdge(2, 3, HbRule::RProgram);
+  expectRejected(BelowAccessed,
+                 "edge into an operation after an access by it or a newer "
+                 "one");
+
+  // An edge into an operation above every accessed one stays legal.
+  TraceLog Fine = structuredTrace();
+  Fine.onOperationCreated(3, Operation());
+  addAccess(Fine, 1);
+  Fine.onHbEdge(2, 3, HbRule::RProgram);
+  TraceLog Out;
+  std::string Error;
+  EXPECT_TRUE(TraceLog::deserialize(Fine.serialize(), Out, &Error)) << Error;
+}
+
+TEST(TraceSerdeTest, RejectsAccessByUnknownOperation) {
+  TraceLog ByZero = structuredTrace();
+  addAccess(ByZero, InvalidOpId);
+  expectRejected(ByZero, "access by an operation never created");
+
+  TraceLog ByUncreated = structuredTrace();
+  addAccess(ByUncreated, 3);
+  expectRejected(ByUncreated, "access by an operation never created");
+}
+
 TEST(TraceSerdeTest, LegacyWrt1RoundTripsWithIdenticalIds) {
   Session S(recordingOptions());
   registerFig1(S.network());

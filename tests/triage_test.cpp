@@ -477,6 +477,40 @@ TEST(BatchTest, UnreadableTraceIsReportedNotSilent) {
   fs::remove_all(Dir);
 }
 
+TEST(BatchTest, MalformedTraceFailsAloneUnderPrediction) {
+  // A trace that decodes byte-wise but names an operation it never
+  // created: rejected by the decoder, counted as failed, and the good
+  // traces beside it still replay and predict.
+  fs::path Dir = fs::temp_directory_path() / "wr_triage_test_malformed";
+  fs::remove_all(Dir);
+  recordCorpusTraces(Dir, 3);
+  TraceLog Bad;
+  Bad.onOperationCreated(1, Operation());
+  Access A;
+  A.Kind = AccessKind::Write;
+  A.Op = 2;
+  A.Loc = Bad.interner().intern(JSVarLoc{0, "x"});
+  Bad.onMemoryAccess(A);
+  std::ofstream(Dir / "bad.wrt", std::ios::binary) << Bad.serialize();
+  std::vector<std::string> Paths = tracePaths(Dir);
+  ASSERT_EQ(Paths.size(), 4u);
+
+  triage::BatchOptions Opts;
+  Opts.Replay.Predict = true;
+  triage::BatchResult R = triage::runBatch(Paths, Opts);
+  EXPECT_EQ(R.TracesOk, 3u);
+  EXPECT_EQ(R.TracesFailed, 1u);
+  EXPECT_GT(R.TotalPredicted, 0u);
+  obs::Json Doc = triage::buildBatchReport("malformed", R);
+  EXPECT_EQ(Doc.find("traces")->find("failed")->asInt(), 1);
+  EXPECT_EQ(Doc.find("traces")->find("ok")->asInt(), 3);
+  std::string Errors = obs::writeJson(*Doc.find("errors"));
+  EXPECT_NE(Errors.find("access by an operation never created"),
+            std::string::npos)
+      << Errors;
+  fs::remove_all(Dir);
+}
+
 TEST(BatchTest, SuppressionRemovesGroupAndSurfacesInCounts) {
   fs::path Dir = fs::temp_directory_path() / "wr_triage_test_sup";
   fs::remove_all(Dir);
