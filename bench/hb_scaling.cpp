@@ -15,9 +15,11 @@
 //     (1.25x headroom absorbs CI timer noise; the arena build is
 //     typically several times faster).
 //
-// It also replays a corpus slice under both reachability strategies and
-// requires byte-identical race descriptions - the memory optimization is
-// only admissible if detection output is bit-for-bit unchanged.
+// It also checks the clocks against a breadth-first search on every
+// query, and replays a corpus slice under the adaptive read
+// representation and ForceReadVectors, requiring byte-identical race
+// descriptions - the memory optimization is only admissible if
+// detection output is bit-for-bit unchanged.
 //
 // Usage: hb_scaling [--quick] [report.json]
 //
@@ -181,7 +183,7 @@ SizeRow runSize(size_t N, int Reps, int &Failures) {
     // Arena index build: one query against the last op materializes every
     // clock (construction is lazy but strictly in id order).
     auto Start = std::chrono::steady_clock::now();
-    bool Reach = G.reachesVectorClock(1, static_cast<OpId>(N));
+    bool Reach = G.happensBefore(1, static_cast<OpId>(N));
     double BuildSecs = secondsSince(Start);
     BestBuild = std::min(BestBuild, BuildSecs);
 
@@ -221,22 +223,22 @@ SizeRow runSize(size_t N, int Reps, int &Failures) {
         break;
       }
     }
-    // Fixed query workload, counted for the report; VC and DFS must
-    // agree on every answer.
+    // Fixed query workload, counted for the report; the clocks must
+    // agree with explainPath's breadth-first search on every answer.
     Rng QR(7);
     uint64_t Positive = 0, Mismatch = 0;
     for (int Q = 0; Q < 4096; ++Q) {
       OpId B = static_cast<OpId>(QR.nextInRange(
           static_cast<int64_t>(N / 2), static_cast<int64_t>(N)));
       OpId A = static_cast<OpId>(QR.nextInRange(1, static_cast<int64_t>(B)));
-      bool Vc = G.reachesVectorClock(A, B);
+      bool Vc = G.happensBefore(A, B);
       Positive += Vc;
-      Mismatch += Vc != G.reachesDfs(A, B);
+      Mismatch += Vc == G.explainPath(A, B).empty();
     }
     Row.Queries = 4096;
     Row.Positive = Positive;
     if (Mismatch) {
-      std::printf("FAIL: %llu strategy mismatches at %zu ops\n",
+      std::printf("FAIL: %llu clock/BFS mismatches at %zu ops\n",
                   static_cast<unsigned long long>(Mismatch), N);
       ++Failures;
     }
@@ -451,9 +453,9 @@ struct ParityStats {
   uint64_t ChcQueries = 0;
 };
 
-/// Race-output byte-identity: the same pages under DfsMemo, VectorClock,
-/// and VectorClock + ForceReadVectors must describe the identical raw and
-/// filtered races and report the same filter attrition.
+/// Race-output byte-identity: the same pages under the adaptive read
+/// representation and ForceReadVectors must describe the identical raw
+/// and filtered races and report the same filter attrition.
 ParityStats paritySites(size_t Sites, int &Failures) {
   std::vector<sites::GeneratedSite> Corpus =
       sites::buildFortune100Corpus(2012);
@@ -461,12 +463,10 @@ ParityStats paritySites(size_t Sites, int &Failures) {
     Corpus.resize(Sites);
   ParityStats Stats;
   for (const sites::GeneratedSite &Site : Corpus) {
-    std::string Descriptions[3];
-    for (int Variant = 0; Variant < 3; ++Variant) {
+    std::string Descriptions[2];
+    for (int Variant = 0; Variant < 2; ++Variant) {
       webracer::SessionOptions Opts;
-      Opts.Detector.Engine =
-          Variant == 0 ? EngineKind::HbDfs : EngineKind::Hb;
-      Opts.Detector.ForceReadVectors = Variant == 2;
+      Opts.Detector.ForceReadVectors = Variant == 1;
       Opts.Browser.Seed = 42;
       webracer::Session S(Opts);
       S.network().addResource(Site.IndexUrl, Site.Html, 10);
@@ -483,7 +483,7 @@ ParityStats paritySites(size_t Sites, int &Failures) {
           std::to_string(At.PriorReadGuard) + " " +
           std::to_string(At.MultiDispatch) + " " +
           std::to_string(At.Kept);
-      if (Variant != 1)
+      if (Variant != 0)
         continue;
       Stats.Races += Result.RawRaces.size();
       Stats.Reads += Result.Stats.ReadsSeen;
@@ -493,11 +493,6 @@ ParityStats paritySites(size_t Sites, int &Failures) {
       Stats.ChcQueries += Result.Stats.ChcQueries;
     }
     if (Descriptions[0] != Descriptions[1]) {
-      std::printf("FAIL: race output differs between strategies on %s\n",
-                  Site.Name.c_str());
-      ++Failures;
-    }
-    if (Descriptions[1] != Descriptions[2]) {
       std::printf("FAIL: race output differs between adaptive and forced "
                   "read vectors on %s\n",
                   Site.Name.c_str());
@@ -587,7 +582,7 @@ int main(int Argc, char **Argv) {
 
   size_t ParityCount = Quick ? 12 : 25;
   std::printf("\nchecking race-output parity on %zu corpus sites "
-              "(dfs / vc / vc+forced-vectors)...\n",
+              "(adaptive / forced read vectors)...\n",
               ParityCount);
   ParityStats Parity = paritySites(ParityCount, Failures);
   std::printf("raw races compared: %llu\n",

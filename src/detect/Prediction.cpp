@@ -157,12 +157,12 @@ PredictionResult wr::detect::predictRaces(const TraceLog &Log,
   PredictionResult Result;
   Result.Engine = Engine;
 
-  // The Hb/HbDfs baseline answers from the fully reconstructed observed
-  // graph; the predictive engines build their own clocks from the stream.
+  // The Hb baseline answers from the fully reconstructed observed graph;
+  // the predictive engines build their own clocks from the stream.
   HbGraph ObservedHb;
   std::unique_ptr<PartialOrderEngine> Owned;
-  if (Engine == EngineKind::Hb || Engine == EngineKind::HbDfs) {
-    ObservedHb = buildHbGraphFromTrace(Log, Engine == EngineKind::Hb);
+  if (Engine == EngineKind::Hb) {
+    ObservedHb = buildHbGraphFromTrace(Log);
     Owned = std::make_unique<HbEngine>(ObservedHb);
   } else if (Engine == EngineKind::Shb) {
     Owned = std::make_unique<ShbEngine>();

@@ -64,15 +64,15 @@ struct PredictionResult {
 
 /// Runs the predictive pass over \p Log under \p Engine. \p ObservedRaw
 /// is the observed run's raw race list (online or replayed); it only
-/// labels verdicts, it never adds races. Hb/HbDfs reconstruct the
-/// observed graph and run the same full-history check - the prediction
+/// labels verdicts, it never adds races. Hb reconstructs the observed
+/// graph and runs the same full-history check - the prediction
 /// baseline an SHB/WCP pass must dominate on feasible schedules.
 PredictionResult predictRaces(const TraceLog &Log, EngineKind Engine,
                               const std::vector<Race> &ObservedRaw);
 
 /// The engines a run with effective engine \p Effective predicts with:
-/// a selected predictive engine predicts with itself; the HB engines
-/// (prediction requested via --predict) run both predictive orders so
+/// a selected predictive engine predicts with itself; the HB engine
+/// (prediction requested via --predict) runs both predictive orders so
 /// the report carries the SHB/WCP delta side by side.
 std::vector<EngineKind> enginesToPredict(EngineKind Effective);
 

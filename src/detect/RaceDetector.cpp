@@ -69,44 +69,15 @@ bool RaceDetector::isReader(const LocState &St, OpId Op) {
   return It != End && *It == Op;
 }
 
-bool RaceDetector::pairConcurrent(OpId Prior, OpId Current) {
-  uint64_t Key = (static_cast<uint64_t>(Prior) << 32) | Current;
-  auto It = PairCache.find(Key);
-  if (It != PairCache.end()) {
-    ++EpochHits;
-    return It->second;
-  }
-  ++ChcQueries;
-  bool Concurrent = Oracle.concurrent(Prior, Current);
-  PairCache.emplace(Key, Concurrent);
-  return Concurrent;
-}
-
 bool RaceDetector::priorConcurrent(const Slot &S, OpId Current) {
-  // The VerifiedFT fast path: under an epoch-capable oracle the stored
-  // slot carries its op's (chain, pos) epoch, so CHC is one O(1) clock
-  // probe - no pair-cache entry. Only the lower-id side can be ordered
-  // before the higher one (HB edges strictly ascend), mirroring
-  // HbGraph::ordering's single-probe discipline; CurEpoch is the current
-  // op's epoch, fetched once per operation in onMemoryAccess.
-  if (S.E.Pos != 0 && Oracle.supportsEpochQueries()) {
-    ++EpochHits;
-    return S.Op < Current
-               ? !Oracle.epochOrdered(S.E.Chain, S.E.Pos, Current)
-               : !Oracle.epochOrdered(CurEpoch.Chain, CurEpoch.Pos, S.Op);
-  }
-  return pairConcurrent(S.Op, Current);
-}
-
-bool RaceDetector::slotConcurrent(Slot &S, OpId Current) {
-  if (S.CheckedVs == Current) {
-    ++EpochHits;
-    return S.Concurrent;
-  }
-  bool Concurrent = priorConcurrent(S, Current);
-  S.CheckedVs = Current;
-  S.Concurrent = Concurrent;
-  return Concurrent;
+  // The VerifiedFT fast path: the stored slot carries its op's (chain,
+  // pos) epoch, so CHC is one O(1) clock probe. Only the lower-id side
+  // can be ordered before the higher one (HB edges strictly ascend),
+  // mirroring HbGraph::ordering's single-probe discipline; CurEpoch is
+  // the current op's epoch, fetched once per operation by enterOp.
+  ++EpochHits;
+  return S.Op < Current ? !Hb.epochOrdered(S.E, Current)
+                        : !Hb.epochOrdered(CurEpoch, S.Op);
 }
 
 RaceKind wr::detect::classifyRace(const Access &First, const Access &Second,
@@ -174,13 +145,11 @@ void RaceDetector::noteRead(LocState &St, const Access &A) {
     ReadEntry &Cur = St.ReadVec[0];
     if (Cur.Op == A.Op)
       return; // Same-epoch re-read: the common case, no probe at all.
-    if (Cur.Op < A.Op &&
-        Oracle.epochOrdered(Cur.E.Chain, Cur.E.Pos, A.Op)) {
+    if (Cur.Op < A.Op && Hb.epochOrdered(Cur.E, A.Op)) {
       Cur = E; // Slide: the stored epoch is ordered before this reader.
       return;
     }
-    if (Cur.Op > A.Op &&
-        Oracle.epochOrdered(CurEpoch.Chain, CurEpoch.Pos, Cur.Op))
+    if (Cur.Op > A.Op && Hb.epochOrdered(CurEpoch, Cur.Op))
       return; // An inline-dispatch split: the stored (newer) read is
               // ordered after this one and subsumes it.
     // A read concurrent with the stored epoch: inflate to the vector.
@@ -218,7 +187,7 @@ void RaceDetector::noteWrite(LocState &St, const Access &A,
   // the loop exits early. A same-op entry probes its own clock (its own
   // delta slot) and counts as dominated - program order within an op.
   for (const ReadEntry &E : St.ReadVec)
-    if (!Oracle.epochOrdered(E.E.Chain, E.E.Pos, A.Op))
+    if (!Hb.epochOrdered(E.E, A.Op))
       return;
   if (St.Rep == ReadRep::Vector)
     ++ReadDeflations;
@@ -264,25 +233,24 @@ uint64_t RaceDetector::detectorBytes() const {
       Bytes += sizeof(std::vector<Slot>) +
                St.History->capacity() * sizeof(Slot);
   }
-  // Rough pair-cache node cost (key + value padded + next link) plus the
-  // bucket array; exact layout is library-specific, the point is that an
-  // epoch-capable run keeps this at zero.
-  Bytes += PairCache.size() * (sizeof(uint64_t) + 2 * sizeof(void *)) +
-           PairCache.bucket_count() * sizeof(void *);
   return Bytes;
 }
 
-bool RaceDetector::sampleAccess(const Access &A, bool UseEpochs) {
+void RaceDetector::enterOp(OpId Op) {
+  if (Op == CurOp)
+    return;
+  CurOp = Op;
+  CurEpoch = Hb.epochOf(Op);
+}
+
+bool RaceDetector::sampleAccess(const Access &A) {
   // The per-pair strategy keys on clock epochs, so the current op's
   // epoch must be fetched before the decision; the other strategies
   // leave the fetch to the processing path (a dropped access then never
   // touches the clock index at all - the access-path saving).
   ClockEpoch PairCur;
-  if (UseEpochs && Opts.Sampling.Strategy == sample::SamplingStrategy::PerPair) {
-    if (A.Op != CurOp) {
-      CurOp = A.Op;
-      CurEpoch = Oracle.epochOf(A.Op);
-    }
+  if (Opts.Sampling.Strategy == sample::SamplingStrategy::PerPair) {
+    enterOp(A.Op);
     PairCur = CurEpoch;
   }
   OpId PriorOp = InvalidOpId;
@@ -299,25 +267,22 @@ void RaceDetector::onMemoryAccess(const Access &A) {
   // The sampling gate runs before any per-access work: a dropped access
   // is invisible to the detector (no counters, no slot state, no epoch
   // fetch) and is tallied by the sampler so attrition is never silent.
-  if (Sampler && !sampleAccess(A, Oracle.supportsEpochQueries()))
+  if (Sampler && !sampleAccess(A))
     return;
   ++AccessesSeen;
   if (A.Kind == AccessKind::Read)
     ++ReadsSeen;
-  bool UseEpochs = Oracle.supportsEpochQueries();
-  if (UseEpochs && A.Op != CurOp) {
-    // One epoch fetch per operation (accesses stream contiguously per op
-    // except across inline-dispatch splits); this also builds the clock
-    // index up to the op, which every probe below relies on.
-    CurOp = A.Op;
-    CurEpoch = Oracle.epochOf(A.Op);
-  }
+  enterOp(A.Op);
   LocState &St = state(A.Loc);
   // Once the one-per-location race is out, no ordering verdict on this
   // location can change any output - skip the HB questions wholesale
   // (and freeze the adaptive read state; its transitions are unobservable
   // once the location is muted).
   bool Muted = Opts.OnePerLocation && St.Reported;
+  Slot S;
+  S.Op = A.Op;
+  S.E = CurEpoch;
+  S.A = A;
 
   if (Opts.HistoryMode == DetectorOptions::Mode::FullHistory) {
     if (!St.History)
@@ -327,9 +292,8 @@ void RaceDetector::onMemoryAccess(const Access &A) {
       EpochHits += Hist.size();
     } else {
       // Check against every recorded access (read-write and write-write).
-      // Every prior poses one CHC question; each is answered by exactly
-      // one of the fast paths (read-read, same-op, epoch probe, pair
-      // cache) or the oracle, so EpochHits + ChcQueries == questions.
+      // Every prior poses one CHC question, answered by the read-read or
+      // same-op shortcut or by one epoch probe.
       for (const Slot &Prior : Hist) {
         bool OneIsWrite = Prior.A.Kind == AccessKind::Write ||
                           A.Kind == AccessKind::Write;
@@ -344,11 +308,6 @@ void RaceDetector::onMemoryAccess(const Access &A) {
         }
       }
     }
-    Slot S;
-    S.Op = A.Op;
-    if (UseEpochs)
-      S.E = CurEpoch;
-    S.A = A;
     if (A.Kind == AccessKind::Write)
       S.HadPriorRead = isReader(St, A.Op);
     Hist.push_back(std::move(S));
@@ -360,31 +319,18 @@ void RaceDetector::onMemoryAccess(const Access &A) {
   // The paper's single-slot algorithm (Sec. 5.1). A read poses one CHC
   // question (vs LastWrite), a write poses two (vs LastWrite, then vs
   // LastRead unless the write check already reported); every question is
-  // answered by exactly one of the fast paths - ⊥ slot (the paper's
-  // CHC(⊥, b) = false case), same operation, muted location, the slot's
-  // cached verdict, a single epoch probe, the deflation-covered
-  // shortcut, the pair cache - or by one generic oracle query, so
-  // EpochHits + ChcQueries is the total question count.
+  // answered in O(1) by exactly one of: ⊥ slot (the paper's CHC(⊥, b) =
+  // false case), same operation, muted location, the deflation-covered
+  // shortcut, or a single epoch probe.
   if (A.Kind == AccessKind::Read) {
     Slot &W = St.LastWrite;
-    if (Muted || W.Op == InvalidOpId || W.Op == A.Op) {
+    if (Muted || W.Op == InvalidOpId || W.Op == A.Op)
       ++EpochHits;
-      ++EpochReads;
-    } else {
-      uint64_t QueriesBefore = ChcQueries;
-      if (slotConcurrent(W, A.Op))
-        report(St, W, A);
-      if (ChcQueries == QueriesBefore)
-        ++EpochReads; // Answered without a generic oracle call.
-    }
-    Slot S;
-    S.Op = A.Op;
-    if (UseEpochs)
-      S.E = CurEpoch;
-    S.A = A;
+    else if (priorConcurrent(W, A.Op))
+      report(St, W, A);
     St.LastRead = std::move(S);
     insertSorted(St.Readers, A.Op, [](OpId Op) { return Op; });
-    if (UseEpochs && !Muted)
+    if (!Muted)
       noteRead(St, A);
     return;
   }
@@ -404,38 +350,52 @@ void RaceDetector::onMemoryAccess(const Access &A) {
     if (W.Op == InvalidOpId || W.Op == A.Op) {
       ++EpochHits;
       OrderedAfterLastWrite = true;
-    } else if (slotConcurrent(W, A.Op)) {
+    } else if (priorConcurrent(W, A.Op)) {
       RacedWithWrite = true;
       report(St, W, A);
     } else {
       OrderedAfterLastWrite = W.Op < A.Op;
     }
     if (!RacedWithWrite) {
-      if (R.Op == InvalidOpId || R.Op == A.Op) {
+      if (R.Op == InvalidOpId || R.Op == A.Op ||
+          (St.Rep == ReadRep::Empty && St.ReadsCovered &&
+           OrderedAfterLastWrite)) {
+        // The last case is the deflation shortcut (the FastTrack
+        // write-after-ordered-reads O(1) case): every read is ordered
+        // before LastWrite and this write is ordered after LastWrite, so
+        // transitively the read check's verdict is "not concurrent". See
+        // DESIGN.md "Adaptive epochs" for the soundness argument.
         ++EpochHits;
-      } else if (St.Rep == ReadRep::Empty && St.ReadsCovered &&
-                 OrderedAfterLastWrite) {
-        // Deflation shortcut (the FastTrack write-after-ordered-reads
-        // O(1) case): every read is ordered before LastWrite and this
-        // write is ordered after LastWrite, so transitively the read
-        // check's verdict is "not concurrent" - cache it without a
-        // probe. See DESIGN.md "Adaptive epochs" for the soundness
-        // argument.
-        ++EpochHits;
-        R.CheckedVs = A.Op;
-        R.Concurrent = false;
-      } else if (slotConcurrent(R, A.Op)) {
+      } else if (priorConcurrent(R, A.Op)) {
         report(St, R, A);
       }
     }
-  }
-  if (UseEpochs && !Muted)
     noteWrite(St, A, OrderedAfterLastWrite);
-  Slot S;
-  S.Op = A.Op;
-  if (UseEpochs)
-    S.E = CurEpoch;
-  S.A = A;
+  }
   S.HadPriorRead = isReader(St, A.Op);
   St.LastWrite = std::move(S);
+}
+
+void wr::detect::collectStats(const HbGraph &Hb, const RaceDetector &D,
+                              obs::RunStats &S) {
+  S.Operations = Hb.numOperations();
+  S.HbEdges = Hb.numEdges();
+  for (size_t I = 0; I < NumHbRules; ++I)
+    if (uint64_t N = Hb.edgesByRule()[I])
+      S.HbEdgesByRule.push_back({wr::toString(static_cast<HbRule>(I)), N});
+  S.ChcQueries = D.chcQueries();
+  S.VcChains = Hb.numChains();
+  S.ClockBytes = Hb.clockBytes();
+  S.ClockMerges = Hb.clockMerges();
+  S.SharedClocks = Hb.sharedClocks();
+  S.AccessesSeen = D.accessesSeen();
+  S.TrackedLocations = D.trackedLocations();
+  S.EpochHits = D.epochHits();
+  S.ReadsSeen = D.readsSeen();
+  S.EpochReads = D.epochReads();
+  S.ReadInflations = D.readInflations();
+  S.ReadDeflations = D.readDeflations();
+  S.ReadVectorLocations = D.readVectorLocations();
+  S.DetectorBytes = D.detectorBytes();
+  S.Sampling = D.samplingStats();
 }

@@ -23,25 +23,15 @@
 /// all per-location state lives in one dense vector indexed by id. Per
 /// location the detector keeps the adaptive VerifiedFT-v2-style epoch
 /// representation (see DESIGN.md "Adaptive epochs"): each slot stores the
-/// operation's (chain, position) clock epoch, so against an epoch-capable
-/// oracle (the vector-clock HbGraph) every CHC question is one O(1)
-/// clock probe - no pair-cache entry, no generic oracle call - and the
+/// operation's (chain, position) clock epoch from the HbGraph's clock
+/// index, so every CHC question is one O(1) clock probe, and the
 /// active-read state is a single read epoch in the common case, inflated
 /// to a compact sorted read vector only when a concurrent read arrives
-/// and deflated back to the epoch form by a dominating write. The former
-/// per-location std::unordered_set<OpId> reader set is a sorted InlineVec
-/// (exact same membership, deterministic iteration, no heap in the
+/// and deflated back to the epoch form by a dominating write. The reader
+/// set is a sorted InlineVec (deterministic iteration, no heap in the
 /// common case), so per-tracked-location memory is O(1) unless a
-/// location actually sees concurrent readers.
-///
-/// The detector always runs over an HbGraph. Under its memoized-DFS
-/// strategy, which cannot answer epoch probes, questions take the legacy
-/// escalation path: the per-slot verdict cache, the global (prior,
-/// current) pair cache, and a generic oracle query on a miss. Race
-/// output is byte-identical across both paths; only the counters show
-/// which path answered (epoch_hits vs chc_queries, plus the wr_epochs
-/// group). The predictive SHB/WCP orders run in detect/Prediction.h, not
-/// here.
+/// location actually sees concurrent readers. The predictive SHB/WCP
+/// orders run in detect/Prediction.h, not here.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -60,7 +50,6 @@
 
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace wr::detect {
@@ -91,10 +80,9 @@ struct DetectorOptions {
   /// Report at most one race per location per run (paper footnote 13).
   bool OnePerLocation = true;
   /// Which partial order the analysis runs over. The observed-race pass
-  /// always consults the happens-before oracle it was constructed with
-  /// (Hb selects vector clocks, HbDfs the memoized DFS); Shb/Wcp select
-  /// the predictive engine used when replaying or predicting over a
-  /// recorded trace (detect/Prediction.h).
+  /// always probes the happens-before graph it was constructed with;
+  /// Shb/Wcp select the predictive engine used when replaying or
+  /// predicting over a recorded trace (detect/Prediction.h).
   EngineKind Engine = EngineKind::Hb;
   /// Debug option: inflate every location's read state to the vector
   /// form on its first read and never deflate. Race output and filter
@@ -119,13 +107,13 @@ RaceKind classifyRace(const Access &First, const Access &Second,
 /// The dynamic race detector; attach to a Browser as an instrumentation
 /// sink. \p Interner must be the interner that assigned the LocIds the
 /// sink will observe (the browser's online, the trace's offline) and must
-/// outlive the detector, as must \p Hb. Every ordering question goes to
-/// \p Hb through an HbEngine.
+/// outlive the detector, as must \p Hb. Every ordering question is one
+/// epoch probe of \p Hb's clock index.
 class RaceDetector final : public InstrumentationSink {
 public:
   RaceDetector(const HbGraph &Hb, const LocationInterner &Interner,
                DetectorOptions Opts = DetectorOptions())
-      : Oracle(Hb), Interner(Interner), Opts(Opts) {
+      : Hb(Hb), Interner(Interner), Opts(Opts) {
     initSampler();
   }
 
@@ -134,18 +122,14 @@ public:
   /// Races of one kind.
   size_t countByKind(RaceKind Kind) const;
 
-  /// Number of CHC questions that escalated to a generic oracle
-  /// concurrent() call (overhead accounting). Under an epoch-capable
-  /// oracle this is 0: every question is answered by an O(1) epoch probe
-  /// and counts as an epoch hit instead.
-  uint64_t chcQueries() const { return ChcQueries; }
+  /// Number of CHC questions that escalated past an epoch probe to a
+  /// graph query. Always 0 - every question is an epoch hit - and kept
+  /// so the chc_queries report key keeps its meaning.
+  uint64_t chcQueries() const { return 0; }
 
-  /// CHC questions answered on the O(1) fast path without a generic
-  /// oracle call: ⊥-slot answers, same-operation checks, muted
-  /// locations, per-slot cached verdicts, pair-cache hits, single-probe
-  /// epoch verdicts, and deflation-covered read checks. Every question
-  /// posed by the access stream lands in exactly one of epochHits() or
-  /// chcQueries(), so hits / (hits + queries) is the fast-path hit rate.
+  /// CHC questions the access stream posed, each answered in O(1):
+  /// ⊥-slot answers, same-operation checks, muted locations, single
+  /// epoch probes, and deflation-covered read checks.
   uint64_t epochHits() const { return EpochHits; }
 
   /// Number of instrumented accesses processed (accesses the sampling
@@ -165,9 +149,9 @@ public:
   uint64_t readsSeen() const { return ReadsSeen; }
 
   /// Read accesses whose CHC question (vs the last write) was answered
-  /// on the fast path; the epoch-path read rate is
-  /// epochReads() / readsSeen(), gated >= 90% by bench/hb_scaling.
-  uint64_t epochReads() const { return EpochReads; }
+  /// on the epoch path: every read. The epoch-path read rate
+  /// epochReads() / readsSeen() is gated >= 90% by bench/hb_scaling.
+  uint64_t epochReads() const { return ReadsSeen; }
 
   /// Epoch -> vector transitions of the per-location read state (a read
   /// concurrent with the stored read epoch arrived).
@@ -183,9 +167,9 @@ public:
   size_t readVectorLocations() const;
 
   /// Structural bytes the detector currently holds: the dense per-location
-  /// table plus all reader/read-vector/history heap storage and the pair
-  /// cache (estimated node cost). Access Detail strings are excluded -
-  /// this measures the representation, not the payload.
+  /// table plus all reader/read-vector/history heap storage. Access
+  /// Detail strings are excluded - this measures the representation, not
+  /// the payload.
   uint64_t detectorBytes() const;
 
   /// Attaches a phase accumulator; access processing then bills its wall
@@ -201,16 +185,11 @@ public:
 private:
   struct Slot {
     OpId Op = InvalidOpId;
-    /// The op's clock epoch, recorded at store time when the oracle
-    /// supports epoch queries (Pos == 0 otherwise).
+    /// The op's clock epoch, recorded at store time.
     ClockEpoch E;
     Access A;
     /// For writes: had the writing op read this location first?
     bool HadPriorRead = false;
-    /// Epoch cache: verdict of the last CHC question against this slot,
-    /// valid while the current operation is CheckedVs.
-    OpId CheckedVs = InvalidOpId;
-    bool Concurrent = false;
   };
 
   /// One entry of the active-read state: a reading op and its epoch.
@@ -220,9 +199,9 @@ private:
   };
 
   /// Shape of the active-read state (the VerifiedFT-v2 adaptive
-  /// representation). Maintained only under an epoch-capable oracle in
-  /// single-slot mode; race checks never read it - it drives the
-  /// deflation fast path and the memory accounting.
+  /// representation). Maintained in single-slot mode; race checks never
+  /// read it - it drives the deflation fast path and the memory
+  /// accounting.
   enum class ReadRep : uint8_t {
     Empty,  ///< No undominated read (initial, or after deflation).
     Epoch,  ///< One read epoch (ReadVec holds exactly one entry).
@@ -264,16 +243,16 @@ private:
   /// True when the sampling layer admits \p A (always, without a
   /// sampler). Fetches the current op's epoch first when the per-pair
   /// strategy needs epoch keys.
-  bool sampleAccess(const Access &A, bool UseEpochs);
+  bool sampleAccess(const Access &A);
+  /// Makes \p Op the current operation, fetching its epoch once (ops
+  /// stream their accesses contiguously except across inline-dispatch
+  /// splits, which re-fetch). The fetch also builds the clock index up
+  /// to \p Op, which every probe of the access relies on.
+  void enterOp(OpId Op);
   LocState &state(LocId Id);
-  /// CHC between a stored prior slot and the current operation: one
-  /// epoch probe under an epoch-capable oracle, else the legacy
-  /// pair-cache/oracle path.
+  /// CHC between a stored prior slot and the current operation: the one
+  /// CHC question, answered by one epoch probe.
   bool priorConcurrent(const Slot &S, OpId Current);
-  /// priorConcurrent with the per-slot verdict cache (single-slot mode).
-  bool slotConcurrent(Slot &S, OpId Current);
-  /// CHC with the global pair cache; escalates to the HB oracle on miss.
-  bool pairConcurrent(OpId Prior, OpId Current);
   void report(LocState &St, const Slot &Prior, const Access &Current);
   /// Read-side maintenance of the adaptive read state (slide / inflate).
   void noteRead(LocState &St, const Access &A);
@@ -283,7 +262,7 @@ private:
   /// True iff \p Op is in the sorted reader set.
   static bool isReader(const LocState &St, OpId Op);
 
-  HbEngine Oracle;
+  const HbGraph &Hb;
   const LocationInterner &Interner;
   DetectorOptions Opts;
   /// Non-null iff Opts.Sampling.enabled(): the per-access gate.
@@ -291,28 +270,26 @@ private:
 
   std::vector<LocState> Locs;
   size_t Tracked = 0;
-  /// Memoized CHC verdicts keyed (Prior << 32) | Current, used only when
-  /// the oracle cannot answer epoch probes. Sound because HB edges only
-  /// ever point at the operation being created (see HbGraph), so a
-  /// verdict between two existing operations never changes.
-  std::unordered_map<uint64_t, bool> PairCache;
 
-  /// The current access's operation and epoch, fetched once per op under
-  /// an epoch-capable oracle (ops stream their accesses contiguously
-  /// except across inline-dispatch splits, which re-fetch).
+  /// The current access's operation and epoch (see enterOp).
   OpId CurOp = InvalidOpId;
   ClockEpoch CurEpoch;
 
   std::vector<Race> Races;
-  uint64_t ChcQueries = 0;
   uint64_t EpochHits = 0;
   uint64_t AccessesSeen = 0;
   uint64_t ReadsSeen = 0;
-  uint64_t EpochReads = 0;
   uint64_t ReadInflations = 0;
   uint64_t ReadDeflations = 0;
   obs::PhaseStats *Phases = nullptr;
 };
+
+/// Copies the graph and detector counters of one run into \p S: the one
+/// collector the online session and the offline replay share. The
+/// intern counters stay with the callers - online the browser probes its
+/// interner per access, offline the trace's interner is prepopulated.
+void collectStats(const HbGraph &Hb, const RaceDetector &D,
+                  obs::RunStats &S);
 
 } // namespace wr::detect
 

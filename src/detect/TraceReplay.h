@@ -11,15 +11,10 @@
 /// draw their dispatch counts from the trace's dispatch records. Because
 /// replay processes events in exactly the order the engine emitted them,
 /// an offline run is observationally identical to the online run that
-/// recorded the trace - same races, same filtered set, same CHC query
-/// count - so detector-mode and filter ablations can compare
-/// configurations against one recorded execution instead of re-running
-/// the browser per configuration.
-///
-/// Replay defaults to the vector-clock happens-before representation: a
-/// trace consumer issues the same CHC queries as the online detector but
-/// pays no instrumentation cost, so the O(1) clock lookup dominates DFS
-/// even more clearly than online.
+/// recorded the trace - same races, same filtered set, same detector
+/// counters (both fill them through collectStats) - so detector-mode and
+/// filter ablations can compare configurations against one recorded
+/// execution instead of re-running the browser per configuration.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -38,7 +33,7 @@
 namespace wr::detect {
 
 /// Configuration for one offline detection run. The partial order lives
-/// in Detector.Engine (hb | hb-dfs | shb | wcp); the observed-race pass
+/// in Detector.Engine (hb | shb | wcp); the observed-race pass
 /// always replays under happens-before (byte-identical to the online
 /// run), and selecting a predictive engine - or setting Predict - adds
 /// detect/Prediction.h passes whose results land in
@@ -77,8 +72,7 @@ struct ReplayResult {
 
 /// Reconstructs the happens-before graph alone (operations with their full
 /// metadata plus rule-tagged edges) from \p Log.
-HbGraph buildHbGraphFromTrace(const TraceLog &Log,
-                              bool UseVectorClocks = true);
+HbGraph buildHbGraphFromTrace(const TraceLog &Log);
 
 /// A DispatchCountFn backed by the trace's dispatch records; keys counts
 /// by (target node, target object, event type) exactly like the engine.

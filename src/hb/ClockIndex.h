@@ -36,16 +36,16 @@ namespace wr {
 /// position within that chain. This is the FastTrack/VerifiedFT "epoch"
 /// the race detector stores per location slot: the op holding epoch
 /// (c, p) precedes B iff B's watermark for chain c is >= p - one clock
-/// probe, no pair-cache entry. Pos 0 never names a real operation, so a
-/// default ClockEpoch is the "no epoch recorded" sentinel.
+/// probe. Pos 0 never names a real operation, so a default ClockEpoch is
+/// the "no epoch recorded" sentinel.
 struct ClockEpoch {
   uint32_t Chain = 0;
   uint32_t Pos = 0;
 
   /// The epoch as one word ((Chain << 32) | Pos). The sampling layer's
-  /// per-pair strategy keys its hash on this instead of raw OpIds:
-  /// chain assignment is deterministic for a fixed seed, so pair keys
-  /// survive OpId renumbering between a recording and its replay.
+  /// per-pair strategy keys its hash on this: chain assignment is
+  /// deterministic for a fixed seed, so pair keys survive OpId
+  /// renumbering between a recording and its replay.
   uint64_t packed() const {
     return (static_cast<uint64_t>(Chain) << 32) | Pos;
   }

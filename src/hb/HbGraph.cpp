@@ -75,7 +75,6 @@ OpId HbGraph::addOperation(Operation Op) {
   Succ.emplace_back();
   Pred.emplace_back();
   InEdgeRules.emplace_back();
-  VisitEpoch.push_back(0);
   return static_cast<OpId>(Ops.size());
 }
 
@@ -86,7 +85,6 @@ void HbGraph::reserveOperations(size_t ExpectedOps) {
   Succ.reserve(ExpectedOps);
   Pred.reserve(ExpectedOps);
   InEdgeRules.reserve(ExpectedOps);
-  VisitEpoch.reserve(ExpectedOps);
   Clocks.reserve(ExpectedOps);
 }
 
@@ -106,50 +104,7 @@ void HbGraph::addEdge(OpId From, OpId To, HbRule Rule) {
   ++EdgesByRule[static_cast<size_t>(Rule)];
 }
 
-bool HbGraph::reachesDfs(OpId A, OpId B) const {
-  assert(A != InvalidOpId && B != InvalidOpId && "invalid OpId");
-  if (A >= B)
-    return false; // Edges strictly ascend, so no path can descend.
-  uint64_t Key = (static_cast<uint64_t>(A) << 32) | B;
-  auto Memo = ReachMemo.find(Key);
-  if (Memo != ReachMemo.end() && (Memo->second >> 1) == MemoEpoch) {
-    ++MemoHits;
-    return Memo->second & 1;
-  }
-
-  // Iterative DFS restricted to ids in (A, B]; edges ascend so anything
-  // above B can never reach back down to it.
-  ++CurrentEpoch;
-  bool Found = false;
-  std::vector<OpId> Stack;
-  Stack.push_back(A);
-  VisitEpoch[A - 1] = CurrentEpoch;
-  while (!Stack.empty() && !Found) {
-    OpId Cur = Stack.back();
-    Stack.pop_back();
-    ++DfsVisits;
-    for (OpId Next : Succ[Cur - 1]) {
-      if (Next == B) {
-        Found = true;
-        break;
-      }
-      if (Next > B || VisitEpoch[Next - 1] == CurrentEpoch)
-        continue;
-      VisitEpoch[Next - 1] = CurrentEpoch;
-      Stack.push_back(Next);
-    }
-  }
-  ReachMemo.insert_or_assign(Key, (MemoEpoch << 1) | (Found ? 1 : 0));
-  return Found;
-}
-
-void HbGraph::resetQueryState() {
-  // Epoch bump instead of ReachMemo.clear(): stale entries die at lookup
-  // and get overwritten in place, so the hash table keeps its buckets.
-  ++MemoEpoch;
-}
-
-bool HbGraph::reachesVectorClock(OpId A, OpId B) const {
+bool HbGraph::happensBefore(OpId A, OpId B) const {
   assert(A != InvalidOpId && B != InvalidOpId && "invalid OpId");
   if (A >= B)
     return false;

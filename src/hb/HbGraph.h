@@ -8,27 +8,18 @@
 /// The happens-before relation of the paper's Section 3.3, represented as a
 /// DAG over operations with rule-tagged edges.
 ///
-/// Two reachability strategies are provided:
+/// The paper answers reachability by traversing this graph and blames
+/// those traversals for much of its overhead, naming vector clocks as the
+/// fix (Sec. 5.2.1). Here every query is a clock probe: a ClockIndex
+/// (hb/ClockIndex.h) over every edge, built lazily in id order, holds a
+/// chain-decomposition vector clock per operation, so happensBefore() is
+/// one O(1) lookup. The index is sound because the builder only ever adds
+/// edges *to the most recently created operation*: once both endpoints of
+/// a query exist, no later edge can create a new path between them.
 ///
-///  * DfsMemo: the paper's implementation strategy - "the race detector
-///    represents the happens-before relation rather directly as a graph
-///    structure" with repeated traversals (Sec. 5.2.1). We add a memo table,
-///    which is sound because the builder only ever adds edges *to the most
-///    recently created operation*: once both endpoints of a query exist, no
-///    later edge can create a new path between them (every edge goes from a
-///    lower OpId to a higher OpId, so a new path through a fresh operation
-///    would have to descend back below it). The memo is epoch-clearable:
-///    resetQueryState() invalidates every entry in O(1) without releasing
-///    the table's buckets, so a graph reused across replay configurations
-///    does not rehash from scratch.
-///
-///  * VectorClock: the chain-decomposition vector-clock representation the
-///    paper names as future work (and which the follow-up EventRacer system
-///    adopted): a ClockIndex (hb/ClockIndex.h) over every edge, built
-///    lazily in id order, so reachability is an O(1) clock lookup.
-///
-/// `bench/ablation_hb_repr` compares the two; `bench/hb_scaling` pins the
-/// build-cost and clock-memory behavior at growing operation counts.
+/// `bench/ablation_hb_repr` measures the paper's memoized graph DFS
+/// against the clocks; `bench/hb_scaling` pins the build-cost and
+/// clock-memory behavior at growing operation counts.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -42,7 +33,6 @@
 #include <array>
 #include <cassert>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 namespace wr {
@@ -143,10 +133,6 @@ public:
     return EdgesByRule;
   }
 
-  /// DFS reachability queries answered from the memo table (the paper's
-  /// Sec. 5.2.1 memoization win, now observable without recompiling).
-  uint64_t memoHits() const { return MemoHits; }
-
   /// Operation metadata. \p Op must be valid.
   const Operation &operation(OpId Op) const {
     assert(Op != InvalidOpId && Op <= Ops.size() && "invalid OpId");
@@ -171,18 +157,13 @@ public:
     return Pred[Op - 1];
   }
 
-  /// True iff A happens-before B in the transitive closure (A != B).
-  /// Dispatches to the configured strategy.
-  bool happensBefore(OpId A, OpId B) const {
-    return UseVectorClocks ? reachesVectorClock(A, B) : reachesDfs(A, B);
-  }
+  /// True iff A happens-before B in the transitive closure: one clock
+  /// probe. Edges strictly ascend, so A >= B is never ordered.
+  bool happensBefore(OpId A, OpId B) const;
 
   /// Combined ordering query. Requires A != B, both valid. Issues at
-  /// most one reachability probe: edges strictly ascend, so only the
-  /// lower-id side can possibly reach the higher-id side, and both
-  /// strategies answer the impossible direction without touching any
-  /// counter - the probe count (and thus chc_queries, dfs_visits,
-  /// memo hits) is byte-identical to the former double-probe CHC.
+  /// most one clock probe: edges strictly ascend, so only the lower-id
+  /// side can possibly reach the higher-id side.
   Ordering ordering(OpId A, OpId B) const {
     assert(A != InvalidOpId && B != InvalidOpId && A != B &&
            "ordering() requires two distinct valid operations");
@@ -197,21 +178,6 @@ public:
       return false;
     return ordering(A, B) == Ordering::Concurrent;
   }
-
-  /// Memoized-DFS reachability (the paper's graph strategy).
-  bool reachesDfs(OpId A, OpId B) const;
-
-  /// Chain-decomposition vector-clock reachability.
-  bool reachesVectorClock(OpId A, OpId B) const;
-
-  /// Selects the strategy used by happensBefore().
-  void setUseVectorClocks(bool Use) { UseVectorClocks = Use; }
-  bool usesVectorClocks() const { return UseVectorClocks; }
-
-  /// Invalidates the DFS memo table in O(1) by bumping its epoch: the
-  /// bucket array survives, so a graph reused across replay
-  /// configurations pays no rehash when its cached answers are discarded.
-  void resetQueryState();
 
   /// Number of chains the vector-clock index currently uses.
   size_t numChains() const { return Clocks.numChains(); }
@@ -233,11 +199,11 @@ public:
 
   /// The (chain, position) epoch of \p Op, building the index up to
   /// \p Op if needed. epochOf(A) together with epochOrdered() answers
-  /// exactly the same question as reachesVectorClock(A, B).
+  /// exactly the same question as happensBefore(A, B).
   ClockEpoch epochOf(OpId Op) const { return clocks(Op).epochOf(Op); }
 
   /// True iff the operation holding epoch (\p Chain, \p Pos) happens-
-  /// before \p Op: one clock probe, no pair-cache entry. Correct for any
+  /// before \p Op: one clock probe. Correct for any
   /// id relation between the epoch's owner and \p Op - chain positions
   /// grow with operation id along a chain, so the watermark of an older
   /// op can never reach a newer op's position.
@@ -274,12 +240,10 @@ public:
   bool findDirectEdgeRule(OpId From, OpId To, HbRule &RuleOut) const;
 
   /// Returns one A -> ... -> B path (operation ids, inclusive) if A
-  /// happens-before B, else an empty vector. For report explanations.
+  /// happens-before B, else an empty vector. For report explanations;
+  /// a breadth-first search over the edges that never consults the
+  /// clocks, so tests use it as their reachability reference.
   std::vector<OpId> explainPath(OpId A, OpId B) const;
-
-  /// Total DFS node visits performed so far (for the representation
-  /// ablation bench).
-  uint64_t dfsVisitCount() const { return DfsVisits; }
 
 private:
   /// The clock index, built up to \p Op. Lazy building is safe because
@@ -297,28 +261,8 @@ private:
   size_t EdgeCount = 0;
   std::array<uint64_t, NumHbRules> EdgesByRule{};
 
-  // DFS memo: key = (A << 32 | B), value = (epoch << 1 | reachable). An
-  // entry is live only when its epoch matches MemoEpoch, so
-  // resetQueryState() invalidates everything by bumping the epoch. The
-  // key packing gives each endpoint exactly half of the 64-bit key, so
-  // OpId must stay at most 32 bits wide; widening OpId requires a new
-  // key scheme here.
-  static_assert(sizeof(OpId) * 8 <= 32,
-                "ReachMemo packs two OpIds into one uint64_t key");
-  mutable std::unordered_map<uint64_t, uint64_t> ReachMemo;
-  mutable uint64_t MemoEpoch = 0;
-  mutable std::vector<uint32_t> VisitEpoch;
-  mutable uint32_t CurrentEpoch = 0;
-  mutable uint64_t DfsVisits = 0;
-  mutable uint64_t MemoHits = 0;
-
   /// Vector clocks over every edge, built lazily in id order.
   mutable ClockIndex Clocks;
-
-  /// Matches the session default (every engine but HbDfs uses clocks),
-  /// so a bare graph and a session-built one answer happensBefore() the
-  /// same way.
-  bool UseVectorClocks = true;
 };
 
 } // namespace wr

@@ -5,13 +5,14 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The partial-order oracle the race detector consumes, extracted behind
-/// an engine interface so the observed happens-before relation (HbGraph)
-/// is just one of several orders a recorded trace can be analyzed under:
+/// The partial orders a recorded trace can be analyzed under, behind one
+/// engine interface; the observed happens-before relation (HbGraph) is
+/// just one of them:
 ///
-///  * Hb / HbDfs - the paper's happens-before relation, answered by the
-///    existing HbGraph (vector clocks or memoized DFS). The race detector
-///    runs over these. Verdicts between existing operations never change.
+///  * Hb - the paper's happens-before relation, answered by the existing
+///    HbGraph's vector clocks. Verdicts between existing operations never
+///    change. The race detector probes the graph directly; HbEngine
+///    wraps it for the prediction pass's HB baseline.
 ///  * Shb / Wcp (PredictiveEngine.h) - orders for race *prediction* over
 ///    replayed traces, driven by detect/Prediction.h; their verdicts
 ///    evolve as the trace streams by.
@@ -33,14 +34,13 @@ namespace wr {
 
 /// Which partial order a detector or prediction pass runs over.
 enum class EngineKind : uint8_t {
-  Hb,    ///< Observed happens-before, vector-clock strategy (default).
-  HbDfs, ///< Observed happens-before, memoized-DFS strategy.
-  Shb,   ///< Schedulable-HB: HB plus write-read edges (SHB paper).
-  Wcp,   ///< Weak-causally-precedes adaptation: SHB minus dispatch-order
-         ///< edges between non-conflicting operations.
+  Hb,  ///< Observed happens-before (default).
+  Shb, ///< Schedulable-HB: HB plus write-read edges (SHB paper).
+  Wcp, ///< Weak-causally-precedes adaptation: SHB minus dispatch-order
+       ///< edges between non-conflicting operations.
 };
 
-/// Renders an engine kind as its CLI spelling (hb, hb-dfs, shb, wcp).
+/// Renders an engine kind as its CLI spelling (hb, shb, wcp).
 const char *toString(EngineKind Kind);
 
 /// Parses a CLI engine name; returns false (leaving \p Out untouched) on
@@ -67,30 +67,6 @@ public:
     if (A == InvalidOpId || B == InvalidOpId || A == B)
       return false;
     return ordering(A, B) == Ordering::Concurrent;
-  }
-
-  /// True when this engine can name operations by (chain, position)
-  /// epochs and answer epoch-ordering probes with one O(1) clock lookup
-  /// (the vector-clock HbGraph strategy). The detector then stores one
-  /// epoch per location slot and answers every ordering question through
-  /// epochOrdered() - no pair-cache entry, no generic concurrent() call.
-  virtual bool supportsEpochQueries() const { return false; }
-
-  /// The epoch of \p Op. Only meaningful when supportsEpochQueries();
-  /// the default returns the Pos == 0 "no epoch" sentinel.
-  virtual ClockEpoch epochOf(OpId Op) const {
-    (void)Op;
-    return {};
-  }
-
-  /// True iff the operation holding epoch (\p Chain, \p Pos) precedes
-  /// \p Op in this engine's order. Only meaningful when
-  /// supportsEpochQueries().
-  virtual bool epochOrdered(uint32_t Chain, uint32_t Pos, OpId Op) const {
-    (void)Chain;
-    (void)Pos;
-    (void)Op;
-    return false;
   }
 
   /// Trace-stream hooks (defaults: no-op). Drivers feed every replayed
@@ -123,25 +99,10 @@ class HbEngine final : public PartialOrderEngine {
 public:
   explicit HbEngine(const HbGraph &Hb) : Hb(Hb) {}
 
-  EngineKind kind() const override {
-    return Hb.usesVectorClocks() ? EngineKind::Hb : EngineKind::HbDfs;
-  }
+  EngineKind kind() const override { return EngineKind::Hb; }
 
   Ordering ordering(OpId A, OpId B) const override {
     return Hb.ordering(A, B);
-  }
-
-  /// Epoch queries are available exactly when the graph answers
-  /// happensBefore() from its clock index (checked per call: tests and
-  /// benches flip the strategy on a live graph).
-  bool supportsEpochQueries() const override {
-    return Hb.usesVectorClocks();
-  }
-
-  ClockEpoch epochOf(OpId Op) const override { return Hb.epochOf(Op); }
-
-  bool epochOrdered(uint32_t Chain, uint32_t Pos, OpId Op) const override {
-    return Hb.epochOrdered(Chain, Pos, Op);
   }
 
   const HbGraph &graph() const { return Hb; }

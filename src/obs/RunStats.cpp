@@ -84,8 +84,6 @@ void RunStats::merge(const RunStats &O) {
       HbEdgesByRule.push_back(Theirs);
   }
   ChcQueries += O.ChcQueries;
-  DfsVisits += O.DfsVisits;
-  DfsMemoHits += O.DfsMemoHits;
   VcChains += O.VcChains;
   ClockBytes += O.ClockBytes;
   ClockMerges += O.ClockMerges;
@@ -137,8 +135,6 @@ Json RunStats::toJson() const {
     Rules.set(R.Name, R.Count);
   J.set("hb_edges_by_rule", std::move(Rules));
   J.set("chc_queries", ChcQueries);
-  J.set("dfs_visits", DfsVisits);
-  J.set("dfs_memo_hits", DfsMemoHits);
   J.set("vc_chains", VcChains);
   J.set("clock_bytes", ClockBytes);
   J.set("clock_merges", ClockMerges);
@@ -196,8 +192,6 @@ void RunStats::exportTo(MetricsRegistry &Registry,
   for (const NamedCount &R : HbEdgesByRule)
     Registry.counter(Prefix + ".hb_edges_by_rule." + R.Name).inc(R.Count);
   C("chc_queries", ChcQueries);
-  C("dfs_visits", DfsVisits);
-  C("dfs_memo_hits", DfsMemoHits);
   C("vc_chains", VcChains);
   C("clock_bytes", ClockBytes);
   C("clock_merges", ClockMerges);
@@ -217,10 +211,15 @@ void RunStats::exportTo(MetricsRegistry &Registry,
     C("wr_sampling.rate_ppm", Sampling.RatePpm);
     C("wr_sampling.seen.reads", Sampling.SeenReads);
     C("wr_sampling.seen.writes", Sampling.SeenWrites);
+    C("wr_sampling.seen.total", Sampling.SeenReads + Sampling.SeenWrites);
     C("wr_sampling.sampled.reads", Sampling.SampledReads);
     C("wr_sampling.sampled.writes", Sampling.SampledWrites);
+    C("wr_sampling.sampled.total",
+      Sampling.SampledReads + Sampling.SampledWrites);
     C("wr_sampling.dropped.reads", Sampling.DroppedReads);
     C("wr_sampling.dropped.writes", Sampling.DroppedWrites);
+    C("wr_sampling.dropped.total",
+      Sampling.DroppedReads + Sampling.DroppedWrites);
     C("wr_sampling.passes.location", Sampling.LocationPass);
     C("wr_sampling.passes.pair", Sampling.PairPass);
     C("wr_sampling.passes.cold", Sampling.ColdPass);
@@ -238,12 +237,13 @@ void RunStats::exportTo(MetricsRegistry &Registry,
   C("races_filtered.html", Filtered.Html);
   C("races_filtered.function", Filtered.Function);
   C("races_filtered.event_dispatch", Filtered.EventDispatch);
-  C("filter.input", Attrition.Input);
-  C("filter.not_form_field", Attrition.NotFormField);
-  C("filter.prior_read_guard", Attrition.PriorReadGuard);
-  C("filter.multi_dispatch", Attrition.MultiDispatch);
-  C("filter.suppressed", Attrition.Suppressed);
-  C("filter.kept", Attrition.Kept);
+  C("filter_attrition.input", Attrition.Input);
+  C("filter_attrition.not_form_field", Attrition.NotFormField);
+  C("filter_attrition.prior_read_guard", Attrition.PriorReadGuard);
+  C("filter_attrition.multi_dispatch", Attrition.MultiDispatch);
+  if (Attrition.Suppressed)
+    C("filter_attrition.suppressed", Attrition.Suppressed);
+  C("filter_attrition.kept", Attrition.Kept);
   for (const PredictionRow &Row : Prediction) {
     std::string Base = Prefix + ".wr_prediction." + Row.Engine;
     Registry.counter(Base + ".pairs_checked").inc(Row.PairsChecked);
@@ -268,7 +268,7 @@ void RunStats::exportTo(MetricsRegistry &Registry,
   for (size_t I = 0; I < NumPhases; ++I) {
     Phase P = static_cast<Phase>(I);
     const PhaseStat &S = Phases[P];
-    std::string Base = Prefix + ".phase." + toString(P);
+    std::string Base = Prefix + ".phases." + toString(P);
     Registry.counter(Base + ".virtual_us").inc(S.VirtualUs);
     Registry.counter(Base + ".entries").inc(S.Entries);
     Registry.counter(Base + ".wall_ns").inc(S.WallNanos);

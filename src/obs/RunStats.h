@@ -169,8 +169,6 @@ struct RunStats {
 
   // Reachability machinery.
   uint64_t ChcQueries = 0;
-  uint64_t DfsVisits = 0;
-  uint64_t DfsMemoHits = 0;
   uint64_t VcChains = 0;
   uint64_t ClockBytes = 0;   ///< Bytes held by the vector-clock arena.
   uint64_t ClockMerges = 0;  ///< Merges that materialized a clock slab.
@@ -224,7 +222,10 @@ struct RunStats {
   /// The deterministic "stats" object of the report schema.
   Json toJson() const;
 
-  /// Snapshots every field into \p Registry under "<Prefix>.".
+  /// Snapshots every field into \p Registry under "<Prefix>.": one
+  /// counter per numeric leaf of toJson(), named by its dotted path and
+  /// present under the same conditions, plus phases.<p>.wall_ns, which
+  /// toJson() leaves out.
   void exportTo(MetricsRegistry &Registry, const std::string &Prefix) const;
 };
 

@@ -94,18 +94,9 @@ bool AccessSampler::decide(const Access &A, OpId PriorWriteOp,
       ++Counters.PairPass;
       return true;
     }
-    // Key the pair on clock epochs when the oracle recorded them (stable
-    // across OpId numbering - the epoch-aware hook of the hb layer),
-    // falling back to raw operation ids otherwise.
-    uint64_t K1, K2;
-    if (PriorWriteEpoch.Pos != 0 && CurEpoch.Pos != 0) {
-      K1 = PriorWriteEpoch.packed();
-      K2 = CurEpoch.packed();
-    } else {
-      K1 = PriorWriteOp;
-      K2 = A.Op;
-    }
-    if (!hashPasses(mix64(mix64(Opts.Seed ^ K1) ^ K2)))
+    // Key the pair on clock epochs (stable across OpId numbering).
+    if (!hashPasses(mix64(mix64(Opts.Seed ^ PriorWriteEpoch.packed()) ^
+                          CurEpoch.packed())))
       return false;
     ++Counters.PairPass;
     return true;

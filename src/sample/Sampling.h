@@ -22,9 +22,8 @@
 ///  * PerPair - samples the (prior-writer, current-op) pair space, the
 ///    RPT idea: every pair of a location's access stream gets an
 ///    independent chance, so hot locations cannot monopolize the budget.
-///    Under an epoch-capable oracle the pair is keyed on the two
-///    operations' (chain, pos) clock epochs (ClockEpoch::packed()),
-///    making keys stable across OpId numbering; otherwise raw OpIds.
+///    The pair is keyed on the two operations' (chain, pos) clock epochs
+///    (ClockEpoch::packed()), making keys stable across OpId numbering.
 ///  * Adaptive - cold-region biasing: a location's first ColdAccesses
 ///    accesses always pass, a location whose read state inflated or
 ///    which raced gets a HotBudget-access window (decaying per access),
@@ -117,8 +116,7 @@ public:
   /// Decides whether the detector processes \p A and counts the outcome.
   /// \p PriorWriteOp / \p PriorWriteEpoch describe the operation stored
   /// in the location's last-write slot (InvalidOpId / default epoch when
-  /// none); \p CurEpoch is the current op's epoch under an epoch-capable
-  /// oracle (default-constructed sentinel otherwise). Only the per-pair
+  /// none); \p CurEpoch is the current op's epoch. Only the per-pair
   /// strategy reads them.
   bool shouldSample(const Access &A, OpId PriorWriteOp,
                     ClockEpoch PriorWriteEpoch, ClockEpoch CurEpoch);

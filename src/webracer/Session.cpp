@@ -9,10 +9,9 @@ using namespace wr::webracer;
 
 Session::Session(SessionOptions Options) : Opts(Options) {
   B = std::make_unique<rt::Browser>(Opts.Browser);
-  // The live detector always runs under observed happens-before; the
-  // engine choice selects the graph strategy here and the predictive
-  // passes (which need the recorded trace) in run().
-  B->hb().setUseVectorClocks(Opts.Detector.Engine != EngineKind::HbDfs);
+  // The live detector always runs under observed happens-before; a
+  // predictive engine adds passes (which need the recorded trace) in
+  // run().
   if (Opts.ExpectedOperations)
     B->hb().reserveOperations(Opts.ExpectedOperations);
   D = std::make_unique<detect::RaceDetector>(B->hb(), B->interner(),
@@ -63,33 +62,10 @@ SessionResult Session::run(const std::string &Url) {
   Result.Alerts = B->alerts();
   Result.ParseErrors = B->parseErrorLog();
 
-  const HbGraph &Hb = B->hb();
   obs::RunStats &S = Result.Stats;
-  S.Operations = Hb.numOperations();
-  S.HbEdges = Hb.numEdges();
-  for (size_t I = 0; I < NumHbRules; ++I)
-    if (uint64_t N = Hb.edgesByRule()[I])
-      S.HbEdgesByRule.push_back(
-          {wr::toString(static_cast<HbRule>(I)), N});
-  S.ChcQueries = D->chcQueries();
-  S.DfsVisits = Hb.dfsVisitCount();
-  S.DfsMemoHits = Hb.memoHits();
-  S.VcChains = Hb.numChains();
-  S.ClockBytes = Hb.clockBytes();
-  S.ClockMerges = Hb.clockMerges();
-  S.SharedClocks = Hb.sharedClocks();
-  S.AccessesSeen = D->accessesSeen();
-  S.TrackedLocations = D->trackedLocations();
+  detect::collectStats(B->hb(), *D, S);
   S.InternedLocations = B->interner().size();
   S.InternHits = B->interner().hits();
-  S.EpochHits = D->epochHits();
-  S.ReadsSeen = D->readsSeen();
-  S.EpochReads = D->epochReads();
-  S.ReadInflations = D->readInflations();
-  S.ReadDeflations = D->readDeflations();
-  S.ReadVectorLocations = D->readVectorLocations();
-  S.DetectorBytes = D->detectorBytes();
-  S.Sampling = D->samplingStats();
   S.Raw = detect::tally(Result.RawRaces);
   S.Filtered = detect::tally(Result.FilteredRaces);
   S.Attrition = detect::toAttrition(Attrition);

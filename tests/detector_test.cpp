@@ -281,21 +281,10 @@ TEST_F(DetectorTest, CountByKind) {
   EXPECT_EQ(D.countByKind(RaceKind::Html), 0u);
 }
 
-TEST_F(DetectorTest, ChcQueriesCounted) {
-  OpId A = op(), B = op();
-  Hb.setUseVectorClocks(false); // Legacy path: no epoch probes.
-  RaceDetector D(Hb, Interner);
-  D.onMemoryAccess(write(A, "x"));
-  EXPECT_EQ(D.chcQueries(), 0u); // ⊥ slot: no query needed... but the
-  // map lookup finds nothing, so no CHC call either.
-  D.onMemoryAccess(read(B, "x"));
-  EXPECT_EQ(D.chcQueries(), 1u);
-}
-
 TEST_F(DetectorTest, EpochOracleAnswersWithoutGenericQueries) {
-  // Under the vector-clock strategy every CHC question is one O(1)
-  // epoch probe: chcQueries stays 0, every question lands in epochHits,
-  // and every read resolves on the epoch path.
+  // Every CHC question is one O(1) epoch probe: chcQueries stays 0,
+  // every question lands in epochHits, and every read resolves on the
+  // epoch path.
   OpId A = op(), B = op(), C = op();
   edge(A, C);
   RaceDetector D(Hb, Interner);
@@ -338,25 +327,6 @@ TEST_F(DetectorTest, TrackedLocationsFullHistoryMode) {
   EXPECT_EQ(D.trackedLocations(), 2u);
 }
 
-TEST_F(DetectorTest, PairCacheAnswersRepeatedPairsAcrossLocations) {
-  OpId A = op(), B = op();
-  Hb.setUseVectorClocks(false); // Pair cache only backs the legacy path.
-  DetectorOptions Opts;
-  Opts.OnePerLocation = false;
-  RaceDetector D(Hb, Interner, Opts);
-  D.onMemoryAccess(write(A, "x"));
-  D.onMemoryAccess(read(B, "x"));
-  EXPECT_EQ(D.chcQueries(), 1u);
-  EXPECT_EQ(D.races().size(), 1u);
-  // The same (A, B) question on another location hits the pair cache -
-  // no new oracle query, but the race is still reported.
-  D.onMemoryAccess(write(A, "y"));
-  D.onMemoryAccess(read(B, "y"));
-  EXPECT_EQ(D.chcQueries(), 1u);
-  EXPECT_GT(D.epochHits(), 0u);
-  EXPECT_EQ(D.races().size(), 2u);
-}
-
 TEST_F(DetectorTest, ReportedLocationSkipsOracleEntirely) {
   OpId A = op(), B = op(), C = op();
   RaceDetector D(Hb, Interner);
@@ -371,24 +341,6 @@ TEST_F(DetectorTest, ReportedLocationSkipsOracleEntirely) {
   EXPECT_EQ(D.chcQueries(), Queries);
   EXPECT_GT(D.epochHits(), 0u);
   EXPECT_EQ(D.races().size(), 1u);
-}
-
-TEST_F(DetectorTest, SlotEpochCacheAnswersSameOpRecheck) {
-  OpId A = op(), B = op();
-  edge(A, B); // Ordered: the verdict is "not concurrent".
-  Hb.setUseVectorClocks(false); // Distinguish the slot cache from epochs.
-  DetectorOptions Opts;
-  Opts.OnePerLocation = false;
-  RaceDetector D(Hb, Interner, Opts);
-  D.onMemoryAccess(write(A, "x"));
-  D.onMemoryAccess(read(B, "x"));
-  uint64_t Queries = D.chcQueries();
-  // B reads x again: LastWrite slot still holds A and was just checked
-  // against B, so the slot's epoch verdict answers without the cache map.
-  D.onMemoryAccess(read(B, "x"));
-  EXPECT_EQ(D.chcQueries(), Queries);
-  EXPECT_GT(D.epochHits(), 0u);
-  EXPECT_TRUE(D.races().empty());
 }
 
 TEST_F(DetectorTest, SameEpochReReadStaysEpochRepresentation) {

@@ -123,8 +123,8 @@ TEST(HbChainTest, ChainLinksAreOrdered) {
   buildDag(G, 300, 37);
   for (const auto &Chain : chainsOf(G))
     for (size_t I = 0; I + 1 < Chain.size(); ++I) {
-      EXPECT_TRUE(G.reachesVectorClock(Chain[I], Chain[I + 1]));
-      EXPECT_TRUE(G.reachesDfs(Chain[I], Chain[I + 1]));
+      EXPECT_TRUE(G.happensBefore(Chain[I], Chain[I + 1]));
+      EXPECT_FALSE(G.explainPath(Chain[I], Chain[I + 1]).empty());
     }
 }
 

@@ -77,7 +77,8 @@ TEST(HbGraphTest, DuplicateEdgesIgnored) {
 }
 
 TEST(HbGraphTest, DfsAndVectorClockAgree) {
-  // Random-ish DAG: every op gets edges from some earlier ops.
+  // Random-ish DAG: every op gets edges from some earlier ops. The clocks
+  // must agree with explainPath's breadth-first search on every pair.
   HbGraph G;
   const int N = 120;
   std::vector<OpId> Ops;
@@ -92,21 +93,9 @@ TEST(HbGraphTest, DfsAndVectorClockAgree) {
   for (int A = 0; A < N; ++A)
     for (int B = 0; B < N; ++B) {
       OpId OA = Ops[static_cast<size_t>(A)], OB = Ops[static_cast<size_t>(B)];
-      EXPECT_EQ(G.reachesDfs(OA, OB), G.reachesVectorClock(OA, OB))
+      EXPECT_EQ(G.happensBefore(OA, OB), !G.explainPath(OA, OB).empty())
           << "mismatch for " << OA << " -> " << OB;
     }
-}
-
-TEST(HbGraphTest, StrategySwitch) {
-  HbGraph G;
-  OpId A = G.addOperation(op("a"));
-  OpId B = G.addOperation(op("b"));
-  G.addEdge(A, B, HbRule::RProgram);
-  G.setUseVectorClocks(true);
-  EXPECT_TRUE(G.usesVectorClocks());
-  EXPECT_TRUE(G.happensBefore(A, B));
-  G.setUseVectorClocks(false);
-  EXPECT_TRUE(G.happensBefore(A, B));
 }
 
 TEST(HbGraphTest, ChainDecompositionIsCompact) {
@@ -118,7 +107,7 @@ TEST(HbGraphTest, ChainDecompositionIsCompact) {
     G.addEdge(Prev, Next, HbRule::RProgram);
     Prev = Next;
   }
-  EXPECT_TRUE(G.reachesVectorClock(1, Prev));
+  EXPECT_TRUE(G.happensBefore(1, Prev));
   EXPECT_EQ(G.numChains(), 1u);
 }
 
@@ -211,71 +200,17 @@ TEST(HbGraphTest, FindDirectEdgeRuleRecoversEachRule) {
 
 TEST(HbGraphTest, MemoizedQueriesStableUnderGrowth) {
   // Adding later operations must not change reachability between
-  // existing pairs (the memoization soundness property).
+  // existing pairs (why clocks built lazily, in id order, stay sound).
   HbGraph G;
   OpId A = G.addOperation(op("a"));
   OpId B = G.addOperation(op("b"));
-  EXPECT_FALSE(G.happensBefore(A, B)); // Memoized as unreachable.
+  EXPECT_FALSE(G.happensBefore(A, B)); // Builds the clocks through B.
   OpId C = G.addOperation(op("c"));
   G.addEdge(A, C, HbRule::RProgram);
   G.addEdge(B, C, HbRule::RProgram);
   // Still unreachable: edges only point at the new op.
   EXPECT_FALSE(G.happensBefore(A, B));
   EXPECT_TRUE(G.happensBefore(A, C));
-}
-
-TEST(HbGraphTest, DefaultsToVectorClocks) {
-  // A bare graph must answer happensBefore() with the same strategy a
-  // session-built one does (SessionOptions::UseVectorClocks defaults
-  // true); a mismatch here once made ablations silently compare a DFS
-  // graph against a vector-clock session.
-  EXPECT_TRUE(HbGraph().usesVectorClocks());
-}
-
-TEST(HbGraphTest, ResetQueryStateInvalidatesMemo) {
-  HbGraph G;
-  OpId A = G.addOperation(op("a"));
-  OpId B = G.addOperation(op("b"));
-  G.addEdge(A, B, HbRule::RProgram);
-  G.setUseVectorClocks(false);
-
-  EXPECT_TRUE(G.happensBefore(A, B)); // Computed, memoized.
-  uint64_t Hits = G.memoHits();
-  EXPECT_TRUE(G.happensBefore(A, B)); // Served from the memo.
-  EXPECT_EQ(G.memoHits(), Hits + 1);
-
-  // After the epoch bump the stale entry must not be served: the next
-  // query recomputes (hit counter unchanged) and re-memoizes.
-  G.resetQueryState();
-  EXPECT_TRUE(G.happensBefore(A, B));
-  EXPECT_EQ(G.memoHits(), Hits + 1);
-  EXPECT_TRUE(G.happensBefore(A, B));
-  EXPECT_EQ(G.memoHits(), Hits + 2);
-}
-
-TEST(HbGraphTest, ResetQueryStateKeepsAnswersCorrect) {
-  // Epoch invalidation across a growing graph: answers after a reset must
-  // match a fresh computation, including pairs cached before the reset.
-  HbGraph G;
-  std::vector<OpId> Ops;
-  for (int I = 0; I < 40; ++I) {
-    OpId Op2 = G.addOperation(op("n"));
-    if (I > 0 && I % 4 != 0)
-      G.addEdge(Ops[static_cast<size_t>(I / 2)], Op2, HbRule::RProgram);
-    Ops.push_back(Op2);
-  }
-  std::vector<bool> Before;
-  for (OpId A : Ops)
-    for (OpId B : Ops)
-      if (A < B)
-        Before.push_back(G.reachesDfs(A, B));
-  G.resetQueryState();
-  size_t I = 0;
-  for (OpId A : Ops)
-    for (OpId B : Ops)
-      if (A < B) {
-        EXPECT_EQ(G.reachesDfs(A, B), Before[I++]);
-      }
 }
 
 //===----------------------------------------------------------------------===//

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -259,10 +260,76 @@ void numericLeaves(const Json &J, const std::string &Path,
   }
 }
 
+/// Checks that \p S exports exactly its report: every numeric leaf of
+/// toJson() has an equal-valued counter of the same dotted name, and
+/// every counter is such a leaf - except phases.<p>.wall_ns, which
+/// reports leave out on purpose.
+void expectExportMatchesReport(const RunStats &S) {
+  MetricsRegistry Reg;
+  S.exportTo(Reg, "wr");
+  std::vector<std::pair<std::string, uint64_t>> Leaves;
+  numericLeaves(S.toJson(), "wr", Leaves);
+  Json Exported = Reg.toJson();
+  const Json *Counters = Exported.find("counters");
+  ASSERT_NE(Counters, nullptr);
+  std::set<std::string> LeafNames;
+  for (const auto &[Name, Value] : Leaves) {
+    LeafNames.insert(Name);
+    const Json *Counter = Counters->find(Name);
+    ASSERT_NE(Counter, nullptr) << Name << " is not exported";
+    EXPECT_EQ(Counter->asUint(), Value) << Name;
+  }
+  for (const auto &[Name, Value] : Counters->members()) {
+    bool WallNs = Name.starts_with("wr.phases.") && Name.ends_with(".wall_ns");
+    EXPECT_TRUE(WallNs || LeafNames.count(Name))
+        << Name << " is exported but not in the report";
+  }
+}
+
 TEST(RunStatsTest, ExportToRegistry) {
   RunStats S = sampleStats(2);
-  // Distinct values per engine and per race kind, so a counter exported
-  // under the wrong name or from the wrong field shows.
+  // Without sampling, suppressions or prediction the optional report
+  // groups are absent, and so are their counters.
+  expectExportMatchesReport(S);
+
+  // Distinct values everywhere, so a counter exported under the wrong
+  // name or from the wrong field shows.
+  S.VcChains = 21;
+  S.ClockBytes = 22;
+  S.ClockMerges = 23;
+  S.SharedClocks = 24;
+  S.Raw.Html = 25;
+  S.Raw.Function = 26;
+  S.Raw.EventDispatch = 27;
+  S.Filtered.Variable = 28;
+  S.Filtered.Function = 29;
+  S.Filtered.EventDispatch = 30;
+  S.Attrition.NotFormField = 31;
+  S.Attrition.PriorReadGuard = 32;
+  S.Attrition.MultiDispatch = 33;
+  S.Attrition.Suppressed = 34;
+  S.TasksRun = 35;
+  S.VirtualTimeUs = 36;
+  S.Alerts = 37;
+  S.ParseErrors = 38;
+  S.EventsDispatched = 39;
+  S.LinksClicked = 40;
+  S.BoxesTyped = 41;
+  S.Phases.addVirtual(Phase::Detect, 42);
+  S.Sampling.Strategy = "adaptive";
+  S.Sampling.RatePpm = 500000;
+  S.Sampling.SeenReads = 50;
+  S.Sampling.SeenWrites = 51;
+  S.Sampling.SampledReads = 52;
+  S.Sampling.SampledWrites = 53;
+  S.Sampling.DroppedReads = 54;
+  S.Sampling.DroppedWrites = 55;
+  S.Sampling.LocationPass = 56;
+  S.Sampling.PairPass = 57;
+  S.Sampling.ColdPass = 58;
+  S.Sampling.HotPass = 59;
+  S.Sampling.RngPass = 60;
+  S.Sampling.HotLocations = 61;
   for (uint64_t I = 0; I < 2; ++I) {
     PredictionRow Row;
     Row.Engine = I == 0 ? "shb" : "wcp";
@@ -276,6 +343,8 @@ TEST(RunStatsTest, ExportToRegistry) {
     Row.Predicted.EventDispatch = 40 + I;
     S.Prediction.push_back(Row);
   }
+  expectExportMatchesReport(S);
+
   MetricsRegistry Reg;
   S.exportTo(Reg, "wr");
   EXPECT_EQ(Reg.counter("wr.operations").value(), 20u);
@@ -283,23 +352,9 @@ TEST(RunStatsTest, ExportToRegistry) {
   EXPECT_EQ(Reg.counter("wr.interned_locations").value(), 12u);
   EXPECT_EQ(Reg.counter("wr.intern_hits").value(), 16u);
   EXPECT_EQ(Reg.counter("wr.epoch_hits").value(), 18u);
-
-  // Every numeric leaf the report writes under wr_prediction has an
-  // equal-valued --metrics counter of the same name.
-  Json Report = S.toJson();
-  const Json *Pred = Report.find("wr_prediction");
-  ASSERT_NE(Pred, nullptr);
-  std::vector<std::pair<std::string, uint64_t>> Leaves;
-  numericLeaves(*Pred, "wr.wr_prediction", Leaves);
-  EXPECT_EQ(Leaves.size(), 18u);
-  Json Exported = Reg.toJson();
-  const Json *Counters = Exported.find("counters");
-  ASSERT_NE(Counters, nullptr);
-  for (const auto &[Name, Value] : Leaves) {
-    const Json *Counter = Counters->find(Name);
-    ASSERT_NE(Counter, nullptr) << Name << " is not exported";
-    EXPECT_EQ(Counter->asUint(), Value) << Name;
-  }
+  EXPECT_EQ(Reg.counter("wr.filter_attrition.suppressed").value(), 34u);
+  EXPECT_EQ(Reg.counter("wr.wr_sampling.dropped.total").value(), 109u);
+  EXPECT_EQ(Reg.counter("wr.phases.script.virtual_us").value(), 22u);
 }
 
 //===----------------------------------------------------------------------===//

@@ -86,8 +86,8 @@ PredictionResult referencePredictRaces(const TraceLog &Log, EngineKind Engine,
 
   HbGraph ObservedHb;
   std::unique_ptr<PartialOrderEngine> Owned;
-  if (Engine == EngineKind::Hb || Engine == EngineKind::HbDfs) {
-    ObservedHb = buildHbGraphFromTrace(Log, Engine == EngineKind::Hb);
+  if (Engine == EngineKind::Hb) {
+    ObservedHb = buildHbGraphFromTrace(Log);
     Owned = std::make_unique<HbEngine>(ObservedHb);
   } else if (Engine == EngineKind::Shb) {
     Owned = std::make_unique<ShbEngine>();

@@ -11,8 +11,8 @@
 //    earlier one, WCP's dispatch-atomicity edge dropping, and the
 //    creation-edge substitution that keeps every interval callback
 //    anchored to its registration.
-//  * Engine-selection plumbing: enginesToPredict and the deprecated
-//    UseVectorClocks forwarders in ReplayOptions/SessionOptions.
+//  * Engine-selection plumbing: enginesToPredict and predictEffective()
+//    in ReplayOptions/SessionOptions.
 //  * Replay equivalence: a recorded session trace (round-tripped through
 //    the legacy WRT1 encoding) replays to byte-identical observed races
 //    under every engine - prediction never perturbs observation.
@@ -196,8 +196,6 @@ TEST(WcpEngineTest, OnlyDispatchRulesWeaken) {
 TEST(EngineSelectionTest, EnginesToPredict) {
   EXPECT_EQ(enginesToPredict(EngineKind::Hb),
             (std::vector<EngineKind>{EngineKind::Shb, EngineKind::Wcp}));
-  EXPECT_EQ(enginesToPredict(EngineKind::HbDfs),
-            (std::vector<EngineKind>{EngineKind::Shb, EngineKind::Wcp}));
   EXPECT_EQ(enginesToPredict(EngineKind::Shb),
             (std::vector<EngineKind>{EngineKind::Shb}));
   EXPECT_EQ(enginesToPredict(EngineKind::Wcp),
@@ -205,13 +203,10 @@ TEST(EngineSelectionTest, EnginesToPredict) {
 }
 
 TEST(EngineSelectionTest, EngineDrivesPredictionAndStrategy) {
-  // Detector.Engine is the single source of truth (the UseVectorClocks
-  // forwarders are gone): predictive engines imply prediction, HB
-  // engines predict only when asked.
+  // Detector.Engine is the single source of truth: predictive engines
+  // imply prediction, the HB engine predicts only when asked.
   ReplayOptions R;
   EXPECT_EQ(R.Detector.Engine, EngineKind::Hb);
-  EXPECT_FALSE(R.predictEffective());
-  R.Detector.Engine = EngineKind::HbDfs;
   EXPECT_FALSE(R.predictEffective());
   R.Detector.Engine = EngineKind::Shb;
   EXPECT_TRUE(R.predictEffective());
@@ -376,8 +371,7 @@ TEST(PredictionReplayTest, LegacyTraceObservedRacesAgreeAcrossEngines) {
   ASSERT_TRUE(TraceLog::deserialize(Bytes, Log, &Error)) << Error;
 
   std::string RawGolden, FilteredGolden;
-  for (EngineKind Kind : {EngineKind::Hb, EngineKind::HbDfs, EngineKind::Shb,
-                          EngineKind::Wcp}) {
+  for (EngineKind Kind : {EngineKind::Hb, EngineKind::Shb, EngineKind::Wcp}) {
     ReplayOptions RO;
     RO.Detector.Engine = Kind;
     ReplayResult R = replayTrace(Log, RO);

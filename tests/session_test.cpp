@@ -26,8 +26,8 @@ TEST(SessionTest, EndToEndRun) {
   EXPECT_EQ(R.RawRaces.size(), 1u);
   EXPECT_GT(R.Stats.Operations, 10u);
   EXPECT_GT(R.Stats.HbEdges, 10u);
-  // The default engine answers epoch probes, so no CHC question ever
-  // escalates to a generic oracle query.
+  // Every CHC question is an epoch probe, so none escalates to a graph
+  // query.
   EXPECT_EQ(R.Stats.ChcQueries, 0u);
   EXPECT_GT(R.Stats.EpochHits, 0u);
   EXPECT_GT(R.Stats.ReadsSeen, 0u);
@@ -35,25 +35,6 @@ TEST(SessionTest, EndToEndRun) {
   ASSERT_EQ(R.Alerts.size(), 1u);
   EXPECT_TRUE(R.Crashes.empty());
   EXPECT_TRUE(R.ParseErrors.empty());
-}
-
-TEST(SessionTest, VectorClockModeFindsSameRaces) {
-  SessionOptions Graph;
-  Graph.Detector.Engine = EngineKind::HbDfs; // The paper's DFS graph.
-  Session SG(Graph);
-  registerFig1(SG.network());
-  SessionResult RG = SG.run("index.html");
-
-  SessionOptions Vc; // Default engine: vector-clock happens-before.
-  Session SV(Vc);
-  registerFig1(SV.network());
-  SessionResult RV = SV.run("index.html");
-
-  ASSERT_EQ(RG.RawRaces.size(), RV.RawRaces.size());
-  for (size_t I = 0; I < RG.RawRaces.size(); ++I) {
-    EXPECT_EQ(RG.RawRaces[I].Kind, RV.RawRaces[I].Kind);
-    EXPECT_EQ(RG.RawRaces[I].Loc, RV.RawRaces[I].Loc);
-  }
 }
 
 TEST(SessionTest, DeterministicAcrossRuns) {
@@ -143,14 +124,6 @@ TEST(SessionTest, DispatchCountsCallback) {
   EXPECT_EQ(Counts(Loc), 2); // Explorer repeats click twice.
   EventHandlerLoc Never{A->id(), 0, "dblclick", 0};
   EXPECT_EQ(Counts(Never), 0);
-}
-
-TEST(SessionTest, HbStrategyDefaultMatchesSessionDefault) {
-  // A bare HbGraph and SessionOptions must agree on the default
-  // reachability strategy, so code holding a graph outside a session
-  // (benches, trace tooling) answers happensBefore() the same way.
-  EXPECT_EQ(HbGraph().usesVectorClocks(),
-            SessionOptions().Detector.Engine != EngineKind::HbDfs);
 }
 
 TEST(SessionTest, ExpectedOperationsHintPreservesResults) {

@@ -226,15 +226,13 @@ std::vector<EngineKind> allEngineKinds() {
   auto Covered = [](EngineKind K) {
     switch (K) {
     case EngineKind::Hb:
-    case EngineKind::HbDfs:
     case EngineKind::Shb:
     case EngineKind::Wcp:
       return K;
     }
     return K;
   };
-  for (EngineKind K : {EngineKind::Hb, EngineKind::HbDfs, EngineKind::Shb,
-                       EngineKind::Wcp})
+  for (EngineKind K : {EngineKind::Hb, EngineKind::Shb, EngineKind::Wcp})
     All.push_back(Covered(K));
   return All;
 }

@@ -15,6 +15,7 @@
 #include "detect/Report.h"
 #include "detect/TraceReplay.h"
 #include "instr/TraceLog.h"
+#include "obs/Reporter.h"
 #include "sites/CorpusRunner.h"
 #include "webracer/Session.h"
 
@@ -364,22 +365,31 @@ TEST(TraceReplayTest, GraphReconstructionMatchesOnline) {
   }
 }
 
+/// \p Stats as its report JSON, minus the members only a browser run
+/// fills: the event loop's tasks and virtual time, alerts, parse errors,
+/// exploration and phase accounting.
+std::string detectionStatsJson(const obs::RunStats &Stats) {
+  obs::Json All = Stats.toJson();
+  obs::Json Kept = obs::Json::object();
+  for (const auto &[Name, Value] : All.members())
+    if (Name != "tasks" && Name != "virtual_time_us" && Name != "alerts" &&
+        Name != "parse_errors" && Name != "explore" && Name != "phases")
+      Kept.set(Name, Value);
+  std::string Bytes;
+  obs::JsonReporter(Bytes).emit(Kept);
+  return Bytes;
+}
+
 TEST(TraceReplayTest, ReplayIsByteIdenticalToOnlineRun) {
   Session S(recordingOptions());
   registerFig1(S.network());
   SessionResult Online = S.run("index.html");
 
   detect::ReplayResult Offline = detect::replayTrace(*S.trace());
-  EXPECT_EQ(Offline.Stats.Operations, Online.Stats.Operations);
-  EXPECT_EQ(Offline.Stats.HbEdges, Online.Stats.HbEdges);
-  EXPECT_EQ(Offline.Stats.ChcQueries, Online.Stats.ChcQueries);
+  // Every graph, detector, intern, race and attrition counter matches.
+  EXPECT_EQ(detectionStatsJson(Offline.Stats),
+            detectionStatsJson(Online.Stats));
   EXPECT_EQ(Offline.Stats.Crashes, Online.Crashes.size());
-  EXPECT_EQ(Offline.Stats.AccessesSeen, Online.Stats.AccessesSeen);
-  EXPECT_EQ(Offline.Stats.TrackedLocations, Online.Stats.TrackedLocations);
-  EXPECT_EQ(Offline.Stats.InternedLocations,
-            Online.Stats.InternedLocations);
-  EXPECT_EQ(Offline.Stats.InternHits, Online.Stats.InternHits);
-  EXPECT_EQ(Offline.Stats.EpochHits, Online.Stats.EpochHits);
 
   // The reports - raw and filtered - must be byte-identical.
   EXPECT_EQ(detect::describeRaces(Offline.RawRaces, Offline.Hb),
@@ -401,17 +411,6 @@ TEST(TraceReplayTest, ReplaySurvivesSerializationRoundTrip) {
             detect::describeRaces(Online.RawRaces, S.browser().hb()));
   EXPECT_EQ(detect::describeRaces(Offline.FilteredRaces, Offline.Hb),
             detect::describeRaces(Online.FilteredRaces, S.browser().hb()));
-}
-
-TEST(TraceReplayTest, DfsReplayFindsSameRaces) {
-  Session S(recordingOptions());
-  registerFig1(S.network());
-  SessionResult Online = S.run("index.html");
-  detect::ReplayOptions Opts;
-  Opts.Detector.Engine = EngineKind::HbDfs;
-  detect::ReplayResult Offline = detect::replayTrace(*S.trace(), Opts);
-  EXPECT_EQ(detect::describeRaces(Offline.RawRaces, Offline.Hb),
-            detect::describeRaces(Online.RawRaces, S.browser().hb()));
 }
 
 TEST(TraceReplayTest, DispatchCountsMatchBrowser) {

@@ -30,10 +30,10 @@
 //                       microseconds (default: jitter 500..3000)
 //   --raw               page, replay: print unfiltered races
 //   --no-explore        page, cross-check: skip automatic exploration
-//   --engine NAME       partial-order engine: hb (default), hb-dfs, shb,
-//                       or wcp. The observed race output is always
-//                       computed under happens-before; shb/wcp add a
-//                       predictive pass (implies --predict)
+//   --engine NAME       partial-order engine: hb (default), shb, or wcp.
+//                       The observed race output is always computed
+//                       under happens-before; shb/wcp add a predictive
+//                       pass (implies --predict)
 //   --predict           page, replay, batch: run the SHB and WCP
 //                       predictive passes after the observed run
 //   --suppressions FILE page, replay, corpus, batch: drop races matching
@@ -59,11 +59,7 @@
 //   --json FILE         write the schema-1 JSON report to FILE
 //   --metrics           dump run statistics as a name-sorted listing
 //
-// The pre-subcommand flag spellings (`webracer-cli index.html --raw`,
-// `--corpus`, `--replay FILE`, `--cross-check`, `--static-analyze`,
-// `--static-precision`) keep working through an alias shim that prints a
-// one-line deprecation note to stderr. The `--dfs` / `--vector-clocks`
-// flags are gone: use `--engine hb-dfs` / `--engine hb`.
+// A first argument that is not a subcommand exits 2 with the usage text.
 //
 // Count-valued options take strict unsigned decimal integers; anything
 // else (including a bare "-" or trailing junk) is a usage error.
@@ -112,7 +108,7 @@ int usage(const char *Argv0) {
       "                        static-vs-dynamic race comparison\n"
       "  batch --traces DIR    deduplicating ingest of a trace directory\n"
       "\n"
-      "common options: --engine hb|hb-dfs|shb|wcp, --json FILE,\n"
+      "common options: --engine hb|shb|wcp, --json FILE,\n"
       "  --metrics, --suppressions FILE, --sample-rate X,\n"
       "  --sample-strategy per-location|per-pair|adaptive; see the\n"
       "  header of this tool or README.md for the per-subcommand "
@@ -373,14 +369,6 @@ int parseModeArgs(CliOptions &O, const std::vector<std::string> &Args,
                    Arg.c_str());
       return 2;
     }
-    if (Arg == "--dfs" || Arg == "--vector-clocks") {
-      std::fprintf(stderr,
-                   "error: %s was removed; use --engine hb-dfs (the "
-                   "paper's graph DFS) or --engine hb (vector clocks, "
-                   "the default)\n",
-                   Arg.c_str());
-      return 2;
-    }
     if (!modeAccepts(O.M, Arg)) {
       std::fprintf(stderr, "error: unknown option '%s' for '%s %s'\n",
                    Arg.c_str(), Argv0, modeName(O.M));
@@ -409,8 +397,8 @@ int parseModeArgs(CliOptions &O, const std::vector<std::string> &Args,
         return 2;
       if (!parseEngineKind(V, O.Engine)) {
         std::fprintf(stderr,
-                     "error: unknown engine '%s' (expected hb, hb-dfs, "
-                     "shb, or wcp)\n",
+                     "error: unknown engine '%s' (expected hb, shb, or "
+                     "wcp)\n",
                      V);
         return 2;
       }
@@ -861,59 +849,6 @@ int pageMain(const CliOptions &O) {
   return Races.empty() ? 0 : 1;
 }
 
-/// Maps a pre-subcommand invocation onto the new interface: finds the
-/// mode-selecting flag (or positional page), strips it, and returns the
-/// remaining arguments for the shared parser. Prints the one-line
-/// deprecation note naming the subcommand to migrate to.
-bool legacyShim(int Argc, char **Argv, CliOptions &O,
-                std::vector<std::string> &Args) {
-  O.M = Mode::Page;
-  bool HaveMode = false;
-  bool Precision = false, StaticOnly = false;
-  std::vector<std::string> Rest;
-  for (int I = 1; I < Argc; ++I) {
-    std::string Arg = Argv[I];
-    if (Arg == "--corpus") {
-      O.M = Mode::Corpus;
-      HaveMode = true;
-    } else if (Arg == "--replay") {
-      O.M = Mode::Replay;
-      HaveMode = true;
-      if (I + 1 < Argc)
-        Rest.push_back(Argv[++I]);
-    } else if (Arg == "--cross-check") {
-      O.M = Mode::CrossCheck;
-      HaveMode = true;
-    } else if (Arg == "--static-analyze") {
-      O.M = Mode::CrossCheck;
-      StaticOnly = true;
-      HaveMode = true;
-    } else if (Arg == "--static-precision") {
-      O.M = Mode::CrossCheck;
-      Precision = true;
-      HaveMode = true;
-    } else {
-      if (I == 1 && !Arg.empty() && Arg[0] != '-' && !HaveMode) {
-        // Old positional page argument.
-        HaveMode = true;
-      }
-      Rest.push_back(std::move(Arg));
-    }
-  }
-  if (!HaveMode)
-    return false;
-  if (StaticOnly)
-    Rest.push_back("--static-only");
-  if (Precision)
-    Rest.push_back("--precision");
-  std::fprintf(stderr,
-               "note: flag-style invocation is deprecated; use "
-               "'%s %s ...'\n",
-               Argv[0], modeName(O.M));
-  Args = std::move(Rest);
-  return true;
-}
-
 } // namespace
 
 int main(int Argc, char **Argv) {
@@ -921,7 +856,6 @@ int main(int Argc, char **Argv) {
     return usage(Argv[0]);
 
   CliOptions O;
-  std::vector<std::string> Args;
   std::string First = Argv[1];
   if (First == "--help" || First == "-h") {
     usage(Argv[0]);
@@ -938,37 +872,11 @@ int main(int Argc, char **Argv) {
   } else if (First == "batch") {
     O.M = Mode::Batch;
   } else {
-    // Not a subcommand: accept the pre-subcommand flag spellings (and
-    // the bare positional page of the original interface, recognized by
-    // the page actually existing on disk) with a deprecation note;
-    // everything else is a usage error.
-    std::error_code Ec;
-    if (!First.empty() && First[0] != '-' && !fs::exists(First, Ec)) {
-      std::fprintf(stderr, "error: unknown subcommand '%s'\n",
-                   First.c_str());
-      return usage(Argv[0]);
-    }
-    if (!legacyShim(Argc, Argv, O, Args))
-      return usage(Argv[0]);
-    if (int Rc = parseModeArgs(O, Args, Argv[0]))
-      return Rc;
-    switch (O.M) {
-    case Mode::Page:
-      return pageMain(O);
-    case Mode::Replay:
-      return replayMain(O);
-    case Mode::Corpus:
-      return corpusMain(O);
-    case Mode::CrossCheck:
-      return crossCheckMain(O);
-    case Mode::Batch:
-      return batchMain(O);
-    }
-    return 2;
+    std::fprintf(stderr, "error: unknown subcommand '%s'\n", First.c_str());
+    return usage(Argv[0]);
   }
 
-  for (int I = 2; I < Argc; ++I)
-    Args.push_back(Argv[I]);
+  std::vector<std::string> Args(Argv + 2, Argv + Argc);
   if (int Rc = parseModeArgs(O, Args, Argv[0]))
     return Rc;
   switch (O.M) {
