@@ -43,7 +43,6 @@ inline std::set<std::string> raceKeys(const sites::CorpusStats &Stats) {
 
 /// One measured cell of the recall frontier.
 struct RecallCell {
-  sample::SamplingStrategy Strategy = sample::SamplingStrategy::Adaptive;
   double Rate = 1.0;
   size_t BaselineRaces = 0; ///< Distinct keys in the unsampled run.
   size_t FoundRaces = 0;    ///< Distinct keys in the sampled run.
@@ -68,7 +67,6 @@ inline RecallCell runCell(const std::vector<sites::GeneratedSite> &Corpus,
   sites::CorpusStats Stats = sites::runCorpus(Corpus, Opts, Seed, Jobs);
 
   RecallCell Cell;
-  Cell.Strategy = Sampling.Strategy;
   Cell.Rate = Sampling.Rate;
   Cell.BaselineRaces = BaselineKeys.size();
   std::set<std::string> Found = raceKeys(Stats);

@@ -11,9 +11,9 @@
 //
 // On top of those, this harness maps the production-overhead story the
 // sampling layer (src/sample) enables: the full recall-vs-sample-rate
-// frontier - every strategy at rates 0.01/0.05/0.1/0.25/0.5/1.0 over the
-// synthetic corpus, each cell scored for race recall against the
-// unsampled baseline and checked for exact attrition reconciliation.
+// frontier - rates 0.01/0.05/0.1/0.25/0.5/1.0 over the synthetic corpus,
+// each cell scored for race recall against the unsampled baseline and
+// checked for exact attrition reconciliation.
 // The binding gates on the frontier's operating point live in
 // bench/sampling_recall (tier-1); this table is the measurement artifact.
 //
@@ -139,7 +139,7 @@ private:
 };
 
 /// Runs one kernel once; Mode 0 = bare, 1 = instrumented, 2 =
-/// instrumented with per-location sampling at rate 0.1.
+/// instrumented with sampling at rate 0.1.
 double runKernelOnce(const Kernel &K, int Mode) {
   js::Heap Heap;
   js::Env *Global = Heap.allocEnv(nullptr);
@@ -147,7 +147,6 @@ double runKernelOnce(const Kernel &K, int Mode) {
   js::installStdLib(Interp, 1);
   detect::DetectorOptions Opts;
   if (Mode == 2) {
-    Opts.Sampling.Strategy = sample::SamplingStrategy::PerLocation;
     Opts.Sampling.Rate = 0.1;
     Opts.Sampling.Seed = 7;
   }
@@ -289,43 +288,30 @@ int main(int Argc, char **Argv) {
   std::printf("corpus: %zu sites, %zu distinct baseline races\n",
               Corpus.size(), BaselineKeys.size());
 
-  const sample::SamplingStrategy Strategies[] = {
-      sample::SamplingStrategy::PerLocation,
-      sample::SamplingStrategy::PerPair,
-      sample::SamplingStrategy::Adaptive,
-  };
   const double Rates[] = {0.01, 0.05, 0.1, 0.25, 0.5, 1.0};
-  std::printf("\n%13s | %5s | %6s | %7s | %13s\n", "strategy", "rate",
-              "recall", "matched", "sampled/seen");
-  std::printf("--------------+-------+--------+---------+--------------\n");
+  std::printf("\n%5s | %6s | %7s | %13s\n", "rate", "recall", "matched",
+              "sampled/seen");
+  std::printf("------+--------+---------+--------------\n");
   std::vector<bench::RecallCell> Cells;
-  for (sample::SamplingStrategy Strategy : Strategies) {
-    for (double Rate : Rates) {
-      sample::SamplingOptions S;
-      S.Strategy = Strategy;
-      S.Rate = Rate;
-      bench::RecallCell Cell =
-          bench::runCell(Corpus, S, Seed, 4, BaselineKeys);
-      double SampledShare =
-          Cell.SeenAccesses
-              ? static_cast<double>(Cell.SampledAccesses) /
-                    static_cast<double>(Cell.SeenAccesses)
-              : 1.0;
-      std::printf("%13s | %5.2f | %6.3f | %3zu/%3zu | %12.3f%%\n",
-                  sample::toString(Strategy), Rate, Cell.Recall,
-                  Cell.MatchedRaces, Cell.BaselineRaces,
-                  100.0 * SampledShare);
-      if (!Cell.ReconcileOk) {
-        std::printf("FAIL: %s@%.2f seen %llu != sampled %llu + dropped "
-                    "%llu\n",
-                    sample::toString(Strategy), Rate,
-                    static_cast<unsigned long long>(Cell.SeenAccesses),
-                    static_cast<unsigned long long>(Cell.SampledAccesses),
-                    static_cast<unsigned long long>(Cell.DroppedAccesses));
-        ++Failures;
-      }
-      Cells.push_back(Cell);
+  for (double Rate : Rates) {
+    sample::SamplingOptions S;
+    S.Rate = Rate;
+    bench::RecallCell Cell = bench::runCell(Corpus, S, Seed, 4, BaselineKeys);
+    double SampledShare =
+        Cell.SeenAccesses ? static_cast<double>(Cell.SampledAccesses) /
+                                static_cast<double>(Cell.SeenAccesses)
+                          : 1.0;
+    std::printf("%5.2f | %6.3f | %3zu/%3zu | %12.3f%%\n", Rate, Cell.Recall,
+                Cell.MatchedRaces, Cell.BaselineRaces, 100.0 * SampledShare);
+    if (!Cell.ReconcileOk) {
+      std::printf("FAIL: rate %.2f seen %llu != sampled %llu + dropped "
+                  "%llu\n",
+                  Rate, static_cast<unsigned long long>(Cell.SeenAccesses),
+                  static_cast<unsigned long long>(Cell.SampledAccesses),
+                  static_cast<unsigned long long>(Cell.DroppedAccesses));
+      ++Failures;
     }
+    Cells.push_back(Cell);
   }
 
   obs::Json Doc = obs::makeReportEnvelope("perf_overhead", "sunspider");
@@ -336,7 +322,6 @@ int main(int Argc, char **Argv) {
   obs::Json Frontier = obs::Json::array();
   for (const bench::RecallCell &Cell : Cells) {
     obs::Json C = obs::Json::object();
-    C.set("strategy", std::string(sample::toString(Cell.Strategy)));
     C.set("rate_ppm", static_cast<uint64_t>(Cell.Rate * 1e6 + 0.5));
     C.set("matched", static_cast<uint64_t>(Cell.MatchedRaces));
     C.set("found", static_cast<uint64_t>(Cell.FoundRaces));

@@ -8,19 +8,22 @@
 //   * rate 1.0 is a true no-op: the corpus report document is
 //     byte-identical with the sampler nominally on at rate 1.0 and with
 //     sampling off entirely;
-//   * attrition is never silent: for every strategy/rate cell the
-//     wr_sampling counters reconcile exactly - seen == sampled + dropped,
-//     the detector processed exactly the sampled accesses, and "seen"
-//     equals the unsampled run's access count (sampling cannot change
-//     what the instrumentation emits, only what the detector keeps);
-//   * sampled reports are --jobs invariant: the same cell produces the
-//     same bytes at --jobs 1 and --jobs 4;
-//   * the adaptive strategy holds >= 90% corpus race recall while the
-//     detector processes ~10% of the access stream (the ISSUE's
-//     operating point);
-//   * dropping accesses actually saves access-path time: per-location
-//     sampling at rate 0.01 must run the synthetic detector stream well
-//     under the unsampled time.
+//   * attrition is never silent: at rate 0.1 the wr_sampling counters
+//     reconcile exactly - seen == sampled + dropped, the detector
+//     processed exactly the sampled accesses, and "seen" equals the
+//     unsampled run's access count (sampling cannot change what the
+//     instrumentation emits, only what the detector keeps);
+//   * the rate bounds the cost: the admitted share of the access stream
+//     is at most twice the rate;
+//   * sampling never invents a race: every race the rate-0.1 run finds
+//     is a baseline race (found == matched);
+//   * recall pays for the cost: recall is at least the admitted share
+//     of the access stream;
+//   * sampled reports are --jobs invariant: the same configuration
+//     produces the same bytes at --jobs 1 and --jobs 4;
+//   * dropping accesses actually saves access-path time: sampling at
+//     rate 0.01 must run the synthetic detector stream well under the
+//     unsampled time.
 //
 // Usage: sampling_recall [--quick] [report.json]
 //
@@ -71,7 +74,6 @@ void checkRateOneIdentity(const std::vector<sites::GeneratedSite> &Corpus,
       reportBytes(sites::runCorpus(Corpus, Off, Seed, 4));
 
   webracer::SessionOptions RateOne;
-  RateOne.Detector.Sampling.Strategy = sample::SamplingStrategy::PerPair;
   RateOne.Detector.Sampling.Rate = 1.0;
   RateOne.Detector.Sampling.Seed = Seed;
   std::string OneBytes =
@@ -89,7 +91,6 @@ void checkRateOneIdentity(const std::vector<sites::GeneratedSite> &Corpus,
 void checkJobsInvariance(const std::vector<sites::GeneratedSite> &Corpus,
                          uint64_t Seed, int &Failures) {
   webracer::SessionOptions Opts;
-  Opts.Detector.Sampling.Strategy = sample::SamplingStrategy::Adaptive;
   Opts.Detector.Sampling.Rate = 0.1;
   Opts.Detector.Sampling.Seed = Seed;
   std::string J1 = reportBytes(sites::runCorpus(Corpus, Opts, Seed, 1));
@@ -101,7 +102,7 @@ void checkJobsInvariance(const std::vector<sites::GeneratedSite> &Corpus,
   }
 }
 
-/// Gate: per-location sampling at rate 0.01 must cut the synthetic
+/// Gate: sampling at rate 0.01 must cut the synthetic
 /// access-path time to at most 60% of the unsampled run. The stream is
 /// the hb_scaling detector workload shape: a small location pool, 70%
 /// reads, two accesses per operation - large enough (100k accesses) that
@@ -145,7 +146,6 @@ void checkAccessPathSavings(int &Failures, double &FullMs,
     for (int Sampled = 0; Sampled < 2; ++Sampled) {
       detect::DetectorOptions Opts;
       if (Sampled) {
-        Opts.Sampling.Strategy = sample::SamplingStrategy::PerLocation;
         Opts.Sampling.Rate = 0.01;
         Opts.Sampling.Seed = 7;
       }
@@ -159,7 +159,7 @@ void checkAccessPathSavings(int &Failures, double &FullMs,
   FullMs = Best[0] * 1e3;
   SampledMs = Best[1] * 1e3;
   if (SampledMs > FullMs * 0.6) {
-    std::printf("FAIL: per-location@0.01 access path %.2fms is not under "
+    std::printf("FAIL: sampled@0.01 access path %.2fms is not under "
                 "60%% of the unsampled %.2fms\n",
                 SampledMs, FullMs);
     ++Failures;
@@ -189,7 +189,7 @@ int main(int Argc, char **Argv) {
 
   int Failures = 0;
 
-  // The unsampled baseline every cell scores against.
+  // The unsampled baseline the sampled cell scores against.
   webracer::SessionOptions Base;
   sites::CorpusStats BaseStats = sites::runCorpus(Corpus, Base, Seed, 4);
   std::set<std::string> BaselineKeys = bench::raceKeys(BaseStats);
@@ -198,65 +198,63 @@ int main(int Argc, char **Argv) {
               BaselineKeys.size(),
               static_cast<unsigned long long>(BaselineAccesses));
 
-  // One gated cell per strategy at the ISSUE's 10% operating point.
-  const sample::SamplingStrategy Strategies[] = {
-      sample::SamplingStrategy::PerLocation,
-      sample::SamplingStrategy::PerPair,
-      sample::SamplingStrategy::Adaptive,
-  };
-  std::vector<bench::RecallCell> Cells;
-  std::printf("\n%13s | %5s | %6s | %7s | %9s | %9s\n", "strategy", "rate",
-              "recall", "matched", "sampled", "dropped");
-  std::printf("--------------+-------+--------+---------+-----------+------"
-              "----\n");
-  for (sample::SamplingStrategy Strategy : Strategies) {
-    sample::SamplingOptions S;
-    S.Strategy = Strategy;
-    S.Rate = 0.1;
-    bench::RecallCell Cell =
-        bench::runCell(Corpus, S, Seed, 4, BaselineKeys);
-    std::printf("%13s | %5.2f | %6.3f | %3zu/%3zu | %9llu | %9llu\n",
-                sample::toString(Strategy), Cell.Rate, Cell.Recall,
-                Cell.MatchedRaces, Cell.BaselineRaces,
+  // The gated cell: the 10% operating point.
+  constexpr double Rate = 0.1;
+  sample::SamplingOptions S;
+  S.Rate = Rate;
+  bench::RecallCell Cell = bench::runCell(Corpus, S, Seed, 4, BaselineKeys);
+  double Share = Cell.SeenAccesses
+                     ? static_cast<double>(Cell.SampledAccesses) /
+                           static_cast<double>(Cell.SeenAccesses)
+                     : 1.0;
+  std::printf("\n%5s | %6s | %7s | %5s | %9s | %9s | %6s\n", "rate",
+              "recall", "matched", "found", "sampled", "dropped", "share");
+  std::printf("------+--------+---------+-------+-----------+-----------+---"
+              "-----\n");
+  std::printf("%5.2f | %6.3f | %3zu/%3zu | %5zu | %9llu | %9llu | %5.1f%%\n",
+              Cell.Rate, Cell.Recall, Cell.MatchedRaces, Cell.BaselineRaces,
+              Cell.FoundRaces,
+              static_cast<unsigned long long>(Cell.SampledAccesses),
+              static_cast<unsigned long long>(Cell.DroppedAccesses),
+              100.0 * Share);
+  // Attrition reconciliation is exact: the counters partition, the
+  // detector processed exactly the sampled accesses, and sampling did not
+  // change what the instrumentation emitted.
+  if (!Cell.ReconcileOk) {
+    std::printf("FAIL: seen %llu != sampled %llu + dropped %llu\n",
+                static_cast<unsigned long long>(Cell.SeenAccesses),
                 static_cast<unsigned long long>(Cell.SampledAccesses),
                 static_cast<unsigned long long>(Cell.DroppedAccesses));
-    // Attrition reconciliation is exact for every strategy: the counters
-    // partition, the detector processed exactly the sampled accesses,
-    // and sampling did not change what the instrumentation emitted.
-    if (!Cell.ReconcileOk) {
-      std::printf("FAIL: %s seen %llu != sampled %llu + dropped %llu\n",
-                  sample::toString(Strategy),
-                  static_cast<unsigned long long>(Cell.SeenAccesses),
-                  static_cast<unsigned long long>(Cell.SampledAccesses),
-                  static_cast<unsigned long long>(Cell.DroppedAccesses));
-      ++Failures;
-    }
-    if (Cell.DetectorAccesses != Cell.SampledAccesses) {
-      std::printf("FAIL: %s detector processed %llu accesses but the "
-                  "sampler admitted %llu\n",
-                  sample::toString(Strategy),
-                  static_cast<unsigned long long>(Cell.DetectorAccesses),
-                  static_cast<unsigned long long>(Cell.SampledAccesses));
-      ++Failures;
-    }
-    if (Cell.SeenAccesses != BaselineAccesses) {
-      std::printf("FAIL: %s sampler saw %llu accesses but the unsampled "
-                  "run emitted %llu\n",
-                  sample::toString(Strategy),
-                  static_cast<unsigned long long>(Cell.SeenAccesses),
-                  static_cast<unsigned long long>(BaselineAccesses));
-      ++Failures;
-    }
-    // The recall gate binds only the adaptive strategy - the blind
-    // strategies are the frontier's comparison points, not the product
-    // configuration.
-    if (Strategy == sample::SamplingStrategy::Adaptive &&
-        Cell.Recall < 0.9) {
-      std::printf("FAIL: adaptive recall %.3f < 0.9 at rate 0.1\n",
-                  Cell.Recall);
-      ++Failures;
-    }
-    Cells.push_back(Cell);
+    ++Failures;
+  }
+  if (Cell.DetectorAccesses != Cell.SampledAccesses) {
+    std::printf("FAIL: detector processed %llu accesses but the sampler "
+                "admitted %llu\n",
+                static_cast<unsigned long long>(Cell.DetectorAccesses),
+                static_cast<unsigned long long>(Cell.SampledAccesses));
+    ++Failures;
+  }
+  if (Cell.SeenAccesses != BaselineAccesses) {
+    std::printf("FAIL: sampler saw %llu accesses but the unsampled run "
+                "emitted %llu\n",
+                static_cast<unsigned long long>(Cell.SeenAccesses),
+                static_cast<unsigned long long>(BaselineAccesses));
+    ++Failures;
+  }
+  if (Share > 2 * Rate) {
+    std::printf("FAIL: admitted share %.3f exceeds twice the rate %.2f\n",
+                Share, Rate);
+    ++Failures;
+  }
+  if (Cell.FoundRaces != Cell.MatchedRaces) {
+    std::printf("FAIL: %zu of %zu sampled races are not baseline races\n",
+                Cell.FoundRaces - Cell.MatchedRaces, Cell.FoundRaces);
+    ++Failures;
+  }
+  if (Cell.Recall < Share) {
+    std::printf("FAIL: recall %.3f is below the admitted share %.3f\n",
+                Cell.Recall, Share);
+    ++Failures;
   }
 
   std::printf("\nchecking rate-1.0 byte identity and --jobs invariance...\n");
@@ -265,7 +263,7 @@ int main(int Argc, char **Argv) {
 
   double FullMs = 0, SampledMs = 0;
   checkAccessPathSavings(Failures, FullMs, SampledMs);
-  std::printf("access path: unsampled %.2fms, per-location@0.01 %.2fms\n",
+  std::printf("access path: unsampled %.2fms, sampled@0.01 %.2fms\n",
               FullMs, SampledMs);
 
   obs::Json Doc = obs::makeReportEnvelope("sampling_recall", "fortune100");
@@ -273,20 +271,15 @@ int main(int Argc, char **Argv) {
   Doc.set("sites", static_cast<uint64_t>(Corpus.size()));
   Doc.set("baseline_races", static_cast<uint64_t>(BaselineKeys.size()));
   Doc.set("baseline_accesses", BaselineAccesses);
-  obs::Json CellsJson = obs::Json::array();
-  for (const bench::RecallCell &Cell : Cells) {
-    obs::Json C = obs::Json::object();
-    C.set("strategy", std::string(sample::toString(Cell.Strategy)));
-    C.set("rate_ppm", static_cast<uint64_t>(Cell.Rate * 1e6 + 0.5));
-    C.set("matched", static_cast<uint64_t>(Cell.MatchedRaces));
-    C.set("found", static_cast<uint64_t>(Cell.FoundRaces));
-    C.set("recall", Cell.Recall);
-    C.set("seen", Cell.SeenAccesses);
-    C.set("sampled", Cell.SampledAccesses);
-    C.set("dropped", Cell.DroppedAccesses);
-    CellsJson.push(std::move(C));
-  }
-  Doc.set("cells", std::move(CellsJson));
+  obs::Json C = obs::Json::object();
+  C.set("rate_ppm", static_cast<uint64_t>(Cell.Rate * 1e6 + 0.5));
+  C.set("matched", static_cast<uint64_t>(Cell.MatchedRaces));
+  C.set("found", static_cast<uint64_t>(Cell.FoundRaces));
+  C.set("recall", Cell.Recall);
+  C.set("seen", Cell.SeenAccesses);
+  C.set("sampled", Cell.SampledAccesses);
+  C.set("dropped", Cell.DroppedAccesses);
+  Doc.set("cell", std::move(C));
   obs::Json Timing = obs::Json::object();
   Timing.set("access_path_full_ms", FullMs);
   Timing.set("access_path_sampled_ms", SampledMs);
@@ -308,8 +301,9 @@ int main(int Argc, char **Argv) {
     std::printf("\nFAIL: %d gate(s) broken\n", Failures);
     return 1;
   }
-  std::printf("\nOK: >=90%% adaptive recall at 10%% sampling, exact "
-              "attrition reconciliation, rate-1.0 byte identity, --jobs "
-              "invariance, access-path savings\n");
+  std::printf("\nOK: exact attrition reconciliation, admitted share <= 2x "
+              "rate, every sampled race a baseline race, recall >= admitted "
+              "share, rate-1.0 byte identity, --jobs invariance, "
+              "access-path savings\n");
   return 0;
 }

@@ -114,10 +114,6 @@ void RaceDetector::report(LocState &St, const Slot &Prior,
     R.WriteHadPriorReadInOp = true;
   if (Current.Kind == AccessKind::Write && isReader(St, Current.Op))
     R.WriteHadPriorReadInOp = true;
-  // Heat feedback: a racing location is exactly the region the adaptive
-  // strategy must keep watching.
-  if (Sampler)
-    Sampler->noteRace(Current.Loc);
   Races.push_back(std::move(R));
 }
 
@@ -131,15 +127,7 @@ void RaceDetector::noteRead(LocState &St, const Access &A) {
   case ReadRep::Empty:
     St.ReadVec.clear();
     St.ReadVec.push_back(E);
-    if (Opts.ForceReadVectors) {
-      St.Rep = ReadRep::Vector;
-      St.EverInflated = true;
-      ++ReadInflations;
-      if (Sampler)
-        Sampler->noteInflation(A.Loc);
-    } else {
-      St.Rep = ReadRep::Epoch;
-    }
+    St.Rep = ReadRep::Epoch;
     return;
   case ReadRep::Epoch: {
     ReadEntry &Cur = St.ReadVec[0];
@@ -157,11 +145,6 @@ void RaceDetector::noteRead(LocState &St, const Access &A) {
     St.Rep = ReadRep::Vector;
     St.EverInflated = true;
     ++ReadInflations;
-    // Heat feedback: concurrent readers mean concurrent operations are
-    // active here - the PR 9 adaptive-epoch state doubling as the
-    // sampling layer's cold/hot signal.
-    if (Sampler)
-      Sampler->noteInflation(A.Loc);
     return;
   }
   case ReadRep::Vector:
@@ -179,8 +162,6 @@ void RaceDetector::noteWrite(LocState &St, const Access &A,
     St.ReadsCovered = St.ReadsCovered && OrderedAfterLastWrite;
     return;
   }
-  if (Opts.ForceReadVectors)
-    return; // The debug option pins every inflated state.
   // VerifiedFT deflation: when this write dominates every active read
   // epoch, collapse back to the empty state. Entries by newer ops can
   // never be dominated (edges ascend), so the probe answers false and
@@ -199,8 +180,8 @@ void RaceDetector::noteWrite(LocState &St, const Access &A,
 obs::SamplingStats RaceDetector::samplingStats() const {
   obs::SamplingStats S;
   if (!Sampler)
-    return S; // Disabled: empty strategy, omitted from reports.
-  S.Strategy = sample::toString(Opts.Sampling.Strategy);
+    return S; // Disabled: omitted from reports.
+  S.Enabled = true;
   S.RatePpm = static_cast<uint64_t>(Opts.Sampling.Rate * 1e6 + 0.5);
   const sample::SamplerCounters &C = Sampler->counters();
   S.SeenReads = C.SeenReads;
@@ -209,12 +190,6 @@ obs::SamplingStats RaceDetector::samplingStats() const {
   S.SampledWrites = C.SampledWrites;
   S.DroppedReads = C.DroppedReads;
   S.DroppedWrites = C.DroppedWrites;
-  S.LocationPass = C.LocationPass;
-  S.PairPass = C.PairPass;
-  S.ColdPass = C.ColdPass;
-  S.HotPass = C.HotPass;
-  S.RngPass = C.RngPass;
-  S.HotLocations = C.HotLocations;
   return S;
 }
 
@@ -243,31 +218,12 @@ void RaceDetector::enterOp(OpId Op) {
   CurEpoch = Hb.epochOf(Op);
 }
 
-bool RaceDetector::sampleAccess(const Access &A) {
-  // The per-pair strategy keys on clock epochs, so the current op's
-  // epoch must be fetched before the decision; the other strategies
-  // leave the fetch to the processing path (a dropped access then never
-  // touches the clock index at all - the access-path saving).
-  ClockEpoch PairCur;
-  if (Opts.Sampling.Strategy == sample::SamplingStrategy::PerPair) {
-    enterOp(A.Op);
-    PairCur = CurEpoch;
-  }
-  OpId PriorOp = InvalidOpId;
-  ClockEpoch PriorE;
-  if (A.Loc < Locs.size()) {
-    PriorOp = Locs[A.Loc].LastWrite.Op;
-    PriorE = Locs[A.Loc].LastWrite.E;
-  }
-  return Sampler->shouldSample(A, PriorOp, PriorE, PairCur);
-}
-
 void RaceDetector::onMemoryAccess(const Access &A) {
   obs::PhaseTimer Timer(Phases, obs::Phase::Detect);
   // The sampling gate runs before any per-access work: a dropped access
   // is invisible to the detector (no counters, no slot state, no epoch
   // fetch) and is tallied by the sampler so attrition is never silent.
-  if (Sampler && !sampleAccess(A))
+  if (Sampler && !Sampler->shouldSample(A))
     return;
   ++AccessesSeen;
   if (A.Kind == AccessKind::Read)

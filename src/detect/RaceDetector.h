@@ -84,18 +84,12 @@ struct DetectorOptions {
   /// Shb/Wcp select the predictive engine used when replaying or
   /// predicting over a recorded trace (detect/Prediction.h).
   EngineKind Engine = EngineKind::Hb;
-  /// Debug option: inflate every location's read state to the vector
-  /// form on its first read and never deflate. Race output and filter
-  /// attrition must be byte-identical to the adaptive default (gated by
-  /// bench/hb_scaling's parity sweep); only the wr_epochs counters and
-  /// detector bytes differ.
-  bool ForceReadVectors = false;
   /// The production-overhead sampling layer (sample/Sampling.h). At the
   /// default rate 1.0 no sampler is constructed and every access reaches
   /// the detector - output is byte-identical to a build without the
   /// layer. Below 1.0 the detector consults the sampler before any
-  /// per-access work; dropped accesses cost one strategy decision and
-  /// are counted in the wr_sampling report group.
+  /// per-access work; dropped accesses cost one location hash and are
+  /// counted in the wr_sampling report group.
   sample::SamplingOptions Sampling;
 };
 
@@ -114,7 +108,8 @@ public:
   RaceDetector(const HbGraph &Hb, const LocationInterner &Interner,
                DetectorOptions Opts = DetectorOptions())
       : Hb(Hb), Interner(Interner), Opts(Opts) {
-    initSampler();
+    if (Opts.Sampling.enabled())
+      Sampler = std::make_unique<sample::AccessSampler>(Opts.Sampling);
   }
 
   const std::vector<Race> &races() const { return Races; }
@@ -139,10 +134,9 @@ public:
   /// The sampling layer, or null when Sampling.Rate is 1.0.
   const sample::AccessSampler *sampler() const { return Sampler.get(); }
 
-  /// The wr_sampling report group: strategy, rate, and every seen /
-  /// sampled / dropped count. Disabled (empty strategy, omitted from
-  /// reports) when no sampler exists, so unsampled runs keep the
-  /// pre-sampling byte layout.
+  /// The wr_sampling report group: rate, and every seen / sampled /
+  /// dropped count. Disabled (omitted from reports) when no sampler
+  /// exists, so unsampled runs keep the pre-sampling byte layout.
   obs::SamplingStats samplingStats() const;
 
   /// Read accesses among accessesSeen().
@@ -236,14 +230,6 @@ private:
     std::unique_ptr<std::vector<Slot>> History;
   };
 
-  void initSampler() {
-    if (Opts.Sampling.enabled())
-      Sampler = std::make_unique<sample::AccessSampler>(Opts.Sampling);
-  }
-  /// True when the sampling layer admits \p A (always, without a
-  /// sampler). Fetches the current op's epoch first when the per-pair
-  /// strategy needs epoch keys.
-  bool sampleAccess(const Access &A);
   /// Makes \p Op the current operation, fetching its epoch once (ops
   /// stream their accesses contiguously except across inline-dispatch
   /// splits, which re-fetch). The fetch also builds the clock index up

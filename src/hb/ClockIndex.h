@@ -41,14 +41,6 @@ namespace wr {
 struct ClockEpoch {
   uint32_t Chain = 0;
   uint32_t Pos = 0;
-
-  /// The epoch as one word ((Chain << 32) | Pos). The sampling layer's
-  /// per-pair strategy keys its hash on this: chain assignment is
-  /// deterministic for a fixed seed, so pair keys survive OpId
-  /// renumbering between a recording and its replay.
-  uint64_t packed() const {
-    return (static_cast<uint64_t>(Chain) << 32) | Pos;
-  }
 };
 
 class ClockIndex {

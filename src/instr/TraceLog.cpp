@@ -127,21 +127,16 @@ std::string TraceLog::toString() const {
 // Binary serialization
 // ---------------------------------------------------------------------------
 //
-// Layout (WRT2, current): "WRT2" magic, a varint location count followed
-// by that many location records (the string table, in LocId order), then
-// a varint event count and one record per event: a kind byte followed by
+// Layout (WRT2): "WRT2" magic, a varint location count followed by that
+// many location records (the string table, in LocId order), then a
+// varint event count and one record per event: a kind byte followed by
 // kind-specific payload. Access records name their location by varint
 // LocId into the table. All integers are LEB128 varints; signed values
 // are zigzag-coded; strings are a varint length plus raw bytes.
-//
-// Layout (WRT1, legacy): same, minus the location table; each access
-// record inlines its full location instead of an id. Decoding re-interns
-// the inline locations in stream order, which reproduces the online ids.
 
 namespace {
 
-constexpr char MagicV2[4] = {'W', 'R', 'T', '2'};
-constexpr char MagicV1[4] = {'W', 'R', 'T', '1'};
+constexpr char Magic[4] = {'W', 'R', 'T', '2'};
 
 void putVar(std::string &Out, uint64_t V) {
   while (V >= 0x80) {
@@ -184,24 +179,12 @@ void putLocation(std::string &Out, const Location &Loc) {
   }
 }
 
-/// WRT2 access record: the location is a varint id into the table.
+/// Access record: the location is a varint id into the table.
 void putAccess(std::string &Out, const Access &A) {
   putU8(Out, static_cast<uint8_t>(A.Kind));
   putU8(Out, static_cast<uint8_t>(A.Origin));
   putVar(Out, A.Op);
   putVar(Out, A.Loc);
-  putStr(Out, A.Detail);
-}
-
-/// WRT1 access record: the full location is inlined.
-void putAccessLegacy(std::string &Out, const Access &A,
-                     const LocationInterner &Interner) {
-  putU8(Out, static_cast<uint8_t>(A.Kind));
-  putU8(Out, static_cast<uint8_t>(A.Origin));
-  putVar(Out, A.Op);
-  assert(Interner.contains(A.Loc) &&
-         "legacy serialization needs a resolvable location id");
-  putLocation(Out, Interner.resolve(A.Loc));
   putStr(Out, A.Detail);
 }
 
@@ -223,6 +206,7 @@ public:
   Reader(const std::string &Bytes, size_t Start) : Data(Bytes), Pos(Start) {}
 
   bool atEnd() const { return Pos == Data.size(); }
+  size_t remaining() const { return Data.size() - Pos; }
 
   bool getVar(uint64_t &V) {
     V = 0;
@@ -322,29 +306,19 @@ public:
     }
   }
 
-  /// \p V2 selects the location encoding: a varint id into \p Interner's
-  /// already-decoded table (range-checked), or a WRT1 inline location
-  /// that gets interned on the fly.
-  bool getAccess(Access &A, LocationInterner &Interner, bool V2) {
+  /// The location is a varint id into the already-decoded table of
+  /// \p NumLocs entries (range-checked).
+  bool getAccess(Access &A, size_t NumLocs) {
+    uint32_t Id;
     if (!getEnum(A.Kind, static_cast<uint8_t>(AccessKind::Write),
                  "bad access kind") ||
         !getEnum(A.Origin, static_cast<uint8_t>(AccessOrigin::HandlerFire),
                  "bad access origin") ||
-        !getNarrow(A.Op, "bad op id"))
+        !getNarrow(A.Op, "bad op id") || !getNarrow(Id, "bad location id"))
       return false;
-    if (V2) {
-      uint32_t Id;
-      if (!getNarrow(Id, "bad location id"))
-        return false;
-      if (Id >= Interner.size())
-        return fail("location id out of range");
-      A.Loc = Id;
-    } else {
-      Location Loc;
-      if (!getLocation(Loc))
-        return false;
-      A.Loc = Interner.intern(Loc);
-    }
+    if (Id >= NumLocs)
+      return fail("location id out of range");
+    A.Loc = Id;
     return getStr(A.Detail);
   }
 
@@ -381,37 +355,36 @@ private:
 
 } // namespace
 
-namespace {
-
-/// Everything after the magic + optional location table is shared between
-/// the two formats, modulo how an access names its location.
-template <typename AccessFn>
-void putEvents(std::string &Out, const std::vector<TraceEvent> &Events,
-               AccessFn PutAccess) {
+std::string TraceLog::serialize() const {
+  std::string Out;
+  Out.append(Magic, sizeof(Magic));
+  putVar(Out, Interner.size());
+  for (LocId Id = 0; Id < Interner.size(); ++Id)
+    putLocation(Out, Interner.resolve(Id));
   putVar(Out, Events.size());
   for (const TraceEvent &E : Events) {
     putU8(Out, static_cast<uint8_t>(E.K));
     switch (E.K) {
-    case TraceEvent::Kind::OpCreated:
+    case EventKind::OpCreated:
       putVar(Out, E.Op);
       putOperation(Out, E.Meta);
       break;
-    case TraceEvent::Kind::OpBegin:
+    case EventKind::OpBegin:
       putVar(Out, E.Op);
       break;
-    case TraceEvent::Kind::OpEnd:
+    case EventKind::OpEnd:
       putVar(Out, E.Op);
       putU8(Out, E.Crashed ? 1 : 0);
       break;
-    case TraceEvent::Kind::HbEdge:
+    case EventKind::HbEdge:
       putVar(Out, E.Op);
       putVar(Out, E.Op2);
       putU8(Out, static_cast<uint8_t>(E.Rule));
       break;
-    case TraceEvent::Kind::MemAccess:
-      PutAccess(Out, E.Mem);
+    case EventKind::MemAccess:
+      putAccess(Out, E.Mem);
       break;
-    case TraceEvent::Kind::Dispatch:
+    case EventKind::Dispatch:
       putVar(Out, E.Target);
       putVar(Out, E.TargetObject);
       putStr(Out, E.EventType);
@@ -421,27 +394,6 @@ void putEvents(std::string &Out, const std::vector<TraceEvent> &Events,
       break;
     }
   }
-}
-
-} // namespace
-
-std::string TraceLog::serialize() const {
-  std::string Out;
-  Out.append(MagicV2, sizeof(MagicV2));
-  putVar(Out, Interner.size());
-  for (LocId Id = 0; Id < Interner.size(); ++Id)
-    putLocation(Out, Interner.resolve(Id));
-  putEvents(Out, Events,
-            [](std::string &Buf, const Access &A) { putAccess(Buf, A); });
-  return Out;
-}
-
-std::string TraceLog::serializeLegacyWrt1() const {
-  std::string Out;
-  Out.append(MagicV1, sizeof(MagicV1));
-  putEvents(Out, Events, [this](std::string &Buf, const Access &A) {
-    putAccessLegacy(Buf, A, Interner);
-  });
   return Out;
 }
 
@@ -454,30 +406,29 @@ bool TraceLog::deserialize(const std::string &Bytes, TraceLog &Out,
       *Error = Message;
     return false;
   };
-  bool V2 = false;
-  if (Bytes.size() >= sizeof(MagicV2) &&
-      std::memcmp(Bytes.data(), MagicV2, sizeof(MagicV2)) == 0)
-    V2 = true;
-  else if (Bytes.size() < sizeof(MagicV1) ||
-           std::memcmp(Bytes.data(), MagicV1, sizeof(MagicV1)) != 0)
+  if (Bytes.size() < sizeof(Magic) ||
+      std::memcmp(Bytes.data(), Magic, sizeof(Magic)) != 0)
     return Fail("not a WebRacer trace (bad magic)");
-  Reader R(Bytes, sizeof(MagicV2));
-  if (V2) {
-    // The location string table, in LocId order.
-    uint64_t LocCount;
-    if (!R.getVar(LocCount))
+  Reader R(Bytes, sizeof(Magic));
+  // The location string table, in LocId order.
+  uint64_t LocCount;
+  if (!R.getVar(LocCount))
+    return Fail(R.error());
+  for (uint64_t I = 0; I < LocCount; ++I) {
+    Location Loc;
+    if (!R.getLocation(Loc))
       return Fail(R.error());
-    for (uint64_t I = 0; I < LocCount; ++I) {
-      Location Loc;
-      if (!R.getLocation(Loc))
-        return Fail(R.error());
-      if (Out.Interner.intern(Loc) != I)
-        return Fail("duplicate location in string table");
-    }
+    if (Out.Interner.intern(Loc) != I)
+      return Fail("duplicate location in string table");
   }
   uint64_t Count;
   if (!R.getVar(Count))
     return Fail(R.error());
+  // Every event record takes at least two bytes (a kind byte and a
+  // varint), so a count the remaining input cannot hold is corrupt; the
+  // check also bounds the reservation below by the input size.
+  if (Count > R.remaining() / 2)
+    return Fail("event count exceeds trace size");
   Out.Events.reserve(static_cast<size_t>(Count));
   // The structure replay relies on: creation ids run 1, 2, ...; an edge
   // joins two created operations, older to newer; an access names a
@@ -517,7 +468,7 @@ bool TraceLog::deserialize(const std::string &Bytes, TraceLog &Out,
                    "newer one"));
       break;
     case EventKind::MemAccess:
-      Ok = R.getAccess(E.Mem, Out.Interner, V2) &&
+      Ok = R.getAccess(E.Mem, Out.Interner.size()) &&
            ((E.Mem.Op != InvalidOpId && E.Mem.Op <= Created) ||
             R.fail("access by an operation never created"));
       E.Op = E.Mem.Op;

@@ -19,12 +19,9 @@
 /// magic/version header) so they can be written to disk by one process and
 /// analyzed by another (`webracer-cli --record` / `--replay`).
 ///
-/// Formats: WRT2 (current) opens with a location string table - every
-/// distinct logical location once, in id order - and access records carry
-/// the varint LocId; WRT1 (legacy) inlined the full location into every
-/// access record. serialize() always writes WRT2; deserialize() accepts
-/// both, re-interning WRT1's inline locations in stream order (which is
-/// first-touch order, so the ids match the online run's).
+/// The format, WRT2, opens with a location string table - every distinct
+/// logical location once, in id order - and access records carry the
+/// varint LocId.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -87,9 +84,8 @@ public:
 
   /// The trace's own location table: mirrors the engine's interner while
   /// recording (the sink must be attached from session start, before any
-  /// location is interned), or is rebuilt from the WRT2 string table /
-  /// WRT1 inline locations when deserializing. Access events' LocIds
-  /// resolve against this.
+  /// location is interned), or is rebuilt from the string table when
+  /// deserializing. Access events' LocIds resolve against this.
   const LocationInterner &interner() const { return Interner; }
   LocationInterner &interner() { return Interner; }
 
@@ -104,8 +100,8 @@ public:
 
   /// Where this trace came from (a file path for deserialized traces, a
   /// page URL for live recordings) - provenance the triage layer carries
-  /// into first-witness attributions. In-memory only: the WRT formats do
-  /// not encode it, so serialized traces stay byte-compatible.
+  /// into first-witness attributions. In-memory only: the WRT2 format
+  /// does not encode it.
   void setSource(std::string S) { Source = std::move(S); }
   const std::string &source() const { return Source; }
 
@@ -115,25 +111,19 @@ public:
   /// Renders the whole trace, one event per line (debugging).
   std::string toString() const;
 
-  /// Encodes the trace into the current (WRT2) binary format: location
-  /// string table first, then events referencing it by id.
+  /// Encodes the trace into the WRT2 binary format: location string
+  /// table first, then events referencing it by id.
   std::string serialize() const;
 
-  /// Encodes the trace in the legacy WRT1 layout (inline locations, no
-  /// table). Kept so compatibility tooling and tests can produce traces
-  /// older readers understand; every access's LocId must resolve in the
-  /// trace's interner.
-  std::string serializeLegacyWrt1() const;
-
-  /// Decodes \p Bytes (WRT2 or legacy WRT1) into \p Out. Returns false
-  /// (and sets \p Error when given) on a bad header, truncation,
-  /// out-of-range enum values, a corrupt location table, an access
-  /// referencing a location id the table does not define, or a stream
-  /// replay cannot build clocks from: creation ids that are not 1, 2,
-  /// ...; an edge not from an older to a newer created operation; an
-  /// edge into an operation after an access by it or a newer one; an
-  /// access by an operation never created. \p Out is left cleared on
-  /// failure.
+  /// Decodes WRT2 \p Bytes into \p Out. Returns false (and sets \p Error
+  /// when given) on a bad header, truncation, an event count the input
+  /// is too short to hold, out-of-range enum values, a corrupt location
+  /// table, an access referencing a location id the table does not
+  /// define, or a stream replay cannot build clocks from: creation ids
+  /// that are not 1, 2, ...; an edge not from an older to a newer created
+  /// operation; an edge into an operation after an access by it or a
+  /// newer one; an access by an operation never created. \p Out is left
+  /// cleared on failure.
   static bool deserialize(const std::string &Bytes, TraceLog &Out,
                           std::string *Error = nullptr);
 

@@ -30,7 +30,6 @@ Json FilterAttrition::toJson() const {
 
 Json SamplingStats::toJson() const {
   Json J = Json::object();
-  J.set("strategy", Strategy);
   J.set("rate_ppm", RatePpm);
   Json Seen = Json::object();
   Seen.set("reads", SeenReads);
@@ -47,14 +46,6 @@ Json SamplingStats::toJson() const {
   Dropped.set("writes", DroppedWrites);
   Dropped.set("total", DroppedReads + DroppedWrites);
   J.set("dropped", std::move(Dropped));
-  Json Passes = Json::object();
-  Passes.set("location", LocationPass);
-  Passes.set("pair", PairPass);
-  Passes.set("cold", ColdPass);
-  Passes.set("hot", HotPass);
-  Passes.set("rng", RngPass);
-  J.set("passes", std::move(Passes));
-  J.set("hot_locations", HotLocations);
   return J;
 }
 
@@ -220,12 +211,6 @@ void RunStats::exportTo(MetricsRegistry &Registry,
     C("wr_sampling.dropped.writes", Sampling.DroppedWrites);
     C("wr_sampling.dropped.total",
       Sampling.DroppedReads + Sampling.DroppedWrites);
-    C("wr_sampling.passes.location", Sampling.LocationPass);
-    C("wr_sampling.passes.pair", Sampling.PairPass);
-    C("wr_sampling.passes.cold", Sampling.ColdPass);
-    C("wr_sampling.passes.hot", Sampling.HotPass);
-    C("wr_sampling.passes.rng", Sampling.RngPass);
-    C("wr_sampling.hot_locations", Sampling.HotLocations);
   }
   C("races_raw.total", Raw.total());
   C("races_raw.variable", Raw.Variable);

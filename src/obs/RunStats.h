@@ -76,14 +76,12 @@ struct FilterAttrition {
 };
 
 /// What the sampling layer admitted and dropped (the wr_sampling report
-/// group; see sample/Sampling.h). Strategy holds the CLI spelling; an
-/// empty strategy means the layer was off, and toJson() then renders
-/// nothing so unsampled reports keep the pre-sampling byte layout.
-/// Invariants the sampler maintains (and bench/sampling_recall gates):
-/// seen == sampled + dropped per kind, and the pass-reason counters sum
-/// to the sampled total.
+/// group; see sample/Sampling.h). When the layer was off, Enabled is
+/// false and toJson() renders nothing, so unsampled reports keep the
+/// pre-sampling byte layout. Invariant the sampler maintains (and
+/// bench/sampling_recall gates): seen == sampled + dropped per kind.
 struct SamplingStats {
-  std::string Strategy; ///< CLI spelling; empty == sampling off.
+  bool Enabled = false; ///< The sampler ran.
   uint64_t RatePpm = 0; ///< Sampling rate in parts-per-million.
   uint64_t SeenReads = 0;
   uint64_t SeenWrites = 0;
@@ -91,21 +89,14 @@ struct SamplingStats {
   uint64_t SampledWrites = 0;
   uint64_t DroppedReads = 0;
   uint64_t DroppedWrites = 0;
-  // Pass reasons (which rule admitted a sampled access).
-  uint64_t LocationPass = 0;
-  uint64_t PairPass = 0;
-  uint64_t ColdPass = 0;
-  uint64_t HotPass = 0;
-  uint64_t RngPass = 0;
-  uint64_t HotLocations = 0;
 
-  bool enabled() const { return !Strategy.empty(); }
+  bool enabled() const { return Enabled; }
 
   void merge(const SamplingStats &O) {
     // Corpus sites share one configuration; adopt it from the first
     // enabled record and sum the counters.
-    if (Strategy.empty()) {
-      Strategy = O.Strategy;
+    if (!Enabled) {
+      Enabled = O.Enabled;
       RatePpm = O.RatePpm;
     }
     SeenReads += O.SeenReads;
@@ -114,12 +105,6 @@ struct SamplingStats {
     SampledWrites += O.SampledWrites;
     DroppedReads += O.DroppedReads;
     DroppedWrites += O.DroppedWrites;
-    LocationPass += O.LocationPass;
-    PairPass += O.PairPass;
-    ColdPass += O.ColdPass;
-    HotPass += O.HotPass;
-    RngPass += O.RngPass;
-    HotLocations += O.HotLocations;
   }
 
   bool operator==(const SamplingStats &O) const = default;

@@ -10,11 +10,11 @@
 /// Valgrind's canonicalized error contexts. At fleet scale the same
 /// Southwest-form race arrives from millions of traces; everything that
 /// varies across those traces (operation ids, node ids, container ids,
-/// dispatch indices, seed-dependent symbol uniquifiers, WRT1-vs-WRT2
-/// encoding) must cancel out of the signature, and everything structural
-/// (race kind, the shape of the location, how each endpoint accessed it,
-/// the causal happens-before rules that made the endpoints schedulable)
-/// must survive.
+/// dispatch indices, seed-dependent symbol uniquifiers) must cancel out
+/// of the signature, and everything structural (race kind, the shape of
+/// the location, how each endpoint accessed it, the causal
+/// happens-before rules that made the endpoints schedulable) must
+/// survive.
 ///
 /// A signature has four components, each a short stable string, so
 /// suppression files can wildcard them independently:

@@ -431,43 +431,6 @@ TEST_F(DetectorTest, InlineDispatchNestedReadDoesNotInflate) {
   EXPECT_TRUE(D.races().empty());
 }
 
-TEST_F(DetectorTest, ForceReadVectorsKeepsRaceOutputIdentical) {
-  // The debug option pins every read state in the vector form; races
-  // and attrition metadata must not move.
-  for (bool Force : {false, true}) {
-    HbGraph G;
-    LocationInterner I;
-    OpId A = G.addOperation(Operation());
-    OpId B = G.addOperation(Operation());
-    OpId C = G.addOperation(Operation());
-    G.addEdge(A, C, HbRule::RProgram);
-    DetectorOptions Opts;
-    Opts.ForceReadVectors = Force;
-    RaceDetector D(G, I, Opts);
-    auto Acc = [&](AccessKind K, OpId Op, const char *Name) {
-      Access X;
-      X.Kind = K;
-      X.Op = Op;
-      X.Loc = I.internVar(0, Name);
-      D.onMemoryAccess(X);
-    };
-    Acc(AccessKind::Read, A, "x");
-    Acc(AccessKind::Read, C, "x");
-    Acc(AccessKind::Write, C, "x");
-    Acc(AccessKind::Write, B, "x");
-    ASSERT_EQ(D.races().size(), 1u) << "Force=" << Force;
-    EXPECT_EQ(D.races()[0].First.Op, C);
-    EXPECT_EQ(D.races()[0].Second.Op, B);
-    EXPECT_TRUE(D.races()[0].WriteHadPriorReadInOp);
-    if (Force) {
-      EXPECT_GT(D.readInflations(), 0u);
-      EXPECT_EQ(D.readDeflations(), 0u); // Never deflates when forced.
-    } else {
-      EXPECT_EQ(D.readInflations(), 0u); // All reads stayed epochs.
-    }
-  }
-}
-
 TEST_F(DetectorTest, DetectorBytesCountsInflatedStorage) {
   RaceDetector D(Hb, Interner);
   uint64_t Empty = D.detectorBytes();

@@ -316,7 +316,7 @@ TEST(RunStatsTest, ExportToRegistry) {
   S.LinksClicked = 40;
   S.BoxesTyped = 41;
   S.Phases.addVirtual(Phase::Detect, 42);
-  S.Sampling.Strategy = "adaptive";
+  S.Sampling.Enabled = true;
   S.Sampling.RatePpm = 500000;
   S.Sampling.SeenReads = 50;
   S.Sampling.SeenWrites = 51;
@@ -324,12 +324,6 @@ TEST(RunStatsTest, ExportToRegistry) {
   S.Sampling.SampledWrites = 53;
   S.Sampling.DroppedReads = 54;
   S.Sampling.DroppedWrites = 55;
-  S.Sampling.LocationPass = 56;
-  S.Sampling.PairPass = 57;
-  S.Sampling.ColdPass = 58;
-  S.Sampling.HotPass = 59;
-  S.Sampling.RngPass = 60;
-  S.Sampling.HotLocations = 61;
   for (uint64_t I = 0; I < 2; ++I) {
     PredictionRow Row;
     Row.Engine = I == 0 ? "shb" : "wcp";

@@ -14,8 +14,8 @@
 //  * Engine-selection plumbing: enginesToPredict and predictEffective()
 //    in ReplayOptions/SessionOptions.
 //  * Replay equivalence: a recorded session trace (round-tripped through
-//    the legacy WRT1 encoding) replays to byte-identical observed races
-//    under every engine - prediction never perturbs observation.
+//    the WRT2 encoding) replays to byte-identical observed races under
+//    every engine - prediction never perturbs observation.
 //  * Session-level gates over the seeded corpus patterns: SHB dominates
 //    the first-race-only observed run on PostFirstRaceBenign, and WCP's
 //    predictions are a strict superset of SHB's on IntervalSkipBenign.
@@ -335,8 +335,7 @@ TEST(PredictionSessionTest, SelectingPredictiveEngineImpliesPrediction) {
 }
 
 //===----------------------------------------------------------------------===//
-// Replay equivalence: observed races are engine-invariant (satellite of
-// the WRT1 compatibility guarantee).
+// Replay equivalence: observed races are engine-invariant.
 //===----------------------------------------------------------------------===//
 
 std::string racesJson(const std::vector<Race> &Races, const HbGraph &Hb) {
@@ -346,9 +345,9 @@ std::string racesJson(const std::vector<Race> &Races, const HbGraph &Hb) {
   return obs::writeJson(Arr);
 }
 
-TEST(PredictionReplayTest, LegacyTraceObservedRacesAgreeAcrossEngines) {
+TEST(PredictionReplayTest, DecodedTraceObservedRacesAgreeAcrossEngines) {
   // Record a session over both prediction seeds, round-trip the trace
-  // through the legacy WRT1 encoding, then replay under every engine:
+  // through serialize(), then replay under every engine:
   // the observed race report must be byte-identical - engines only add
   // predictions, they never change what was observed.
   sites::SiteSpec Spec;
@@ -365,7 +364,7 @@ TEST(PredictionReplayTest, LegacyTraceObservedRacesAgreeAcrossEngines) {
   ASSERT_NE(S.trace(), nullptr);
   ASSERT_FALSE(Online.RawRaces.empty());
 
-  std::string Bytes = S.trace()->serializeLegacyWrt1();
+  std::string Bytes = S.trace()->serialize();
   TraceLog Log;
   std::string Error;
   ASSERT_TRUE(TraceLog::deserialize(Bytes, Log, &Error)) << Error;

@@ -2,37 +2,41 @@
 //
 // The src/sample contract, from the unit up:
 //
-//  * AccessSampler strategy behavior: per-location decisions are a pure
-//    function of the location, per-pair always admits first-writer
-//    pairs, adaptive always admits a location's first K accesses and
-//    heat-marked locations, and the counters partition exactly.
+//  * AccessSampler behavior: decisions are a pure function of the
+//    location, and the counters partition exactly.
 //  * Detector integration: rate 1.0 constructs no sampler and changes no
 //    bytes (the fig golden file stays byte-identical); below 1.0 the
-//    detector processes exactly the admitted accesses.
+//    detector processes exactly the admitted accesses, and its raw and
+//    filtered races are exactly the unsampled run's races on the
+//    admitted locations, field by field.
 //  * Determinism: sampled corpus reports are byte-identical at --jobs
 //    1/2/4/8.
 //
 //===----------------------------------------------------------------------===//
 
+#include "RandomTrace.h"
+
 #include "analysis/Scenarios.h"
 #include "detect/RaceDetector.h"
+#include "detect/TraceReplay.h"
 #include "hb/HbGraph.h"
 #include "mem/LocationInterner.h"
 #include "sample/Sampling.h"
 #include "sites/CorpusReport.h"
 #include "sites/CorpusRunner.h"
+#include "support/Rng.h"
 #include "webracer/RunReport.h"
 #include "webracer/Session.h"
 
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <functional>
 #include <sstream>
 
 using namespace wr;
 using sample::AccessSampler;
 using sample::SamplingOptions;
-using sample::SamplingStrategy;
 
 namespace {
 
@@ -46,108 +50,47 @@ Access makeAccess(OpId Op, LocId Loc, AccessKind Kind) {
 
 TEST(AccessSamplerTest, PerLocationDecisionIsAFunctionOfTheLocation) {
   SamplingOptions Opts;
-  Opts.Strategy = SamplingStrategy::PerLocation;
   Opts.Rate = 0.5;
   Opts.Seed = 42;
   AccessSampler S(Opts);
   // Whatever the verdict for a location is, it never changes across
   // repeated accesses, operations, or access kinds.
   for (LocId Loc = 0; Loc < 64; ++Loc) {
-    bool First = S.shouldSample(makeAccess(1, Loc, AccessKind::Read),
-                                InvalidOpId, {}, {});
+    bool First = S.shouldSample(makeAccess(1, Loc, AccessKind::Read));
     for (OpId Op = 2; Op < 6; ++Op)
-      EXPECT_EQ(S.shouldSample(makeAccess(Op, Loc, AccessKind::Write),
-                               InvalidOpId, {}, {}),
+      EXPECT_EQ(S.shouldSample(makeAccess(Op, Loc, AccessKind::Write)),
                 First);
   }
   // Rate 0.5 over 64 locations keeps a nontrivial subset of both sides.
   const sample::SamplerCounters &C = S.counters();
-  EXPECT_GT(C.LocationPass, 0u);
+  EXPECT_GT(C.SampledReads + C.SampledWrites, 0u);
   EXPECT_GT(C.DroppedReads + C.DroppedWrites, 0u);
 }
 
 TEST(AccessSamplerTest, RateZeroPerLocationDropsEverything) {
   SamplingOptions Opts;
-  Opts.Strategy = SamplingStrategy::PerLocation;
   Opts.Rate = 0.0;
   AccessSampler S(Opts);
   for (LocId Loc = 0; Loc < 32; ++Loc)
-    EXPECT_FALSE(S.shouldSample(makeAccess(1, Loc, AccessKind::Read),
-                                InvalidOpId, {}, {}));
+    EXPECT_FALSE(S.shouldSample(makeAccess(1, Loc, AccessKind::Read)));
   EXPECT_EQ(S.counters().SeenReads, 32u);
   EXPECT_EQ(S.counters().DroppedReads, 32u);
   EXPECT_EQ(S.counters().SampledReads, 0u);
 }
 
-TEST(AccessSamplerTest, PerPairAlwaysAdmitsFirstWriterPairs) {
-  SamplingOptions Opts;
-  Opts.Strategy = SamplingStrategy::PerPair;
-  Opts.Rate = 0.0; // Only the forced first-pair admissions survive.
-  AccessSampler S(Opts);
-  // No prior writer recorded: the pair does not exist yet, so the access
-  // must reach the detector (otherwise no pair could ever form).
-  EXPECT_TRUE(S.shouldSample(makeAccess(3, 7, AccessKind::Write),
-                             InvalidOpId, {}, {}));
-  EXPECT_EQ(S.counters().PairPass, 1u);
-  // With a prior writer and rate 0, the pair hash can never pass.
-  EXPECT_FALSE(S.shouldSample(makeAccess(4, 7, AccessKind::Read),
-                              /*PriorWriteOp=*/3, {}, {}));
-  EXPECT_EQ(S.counters().SampledWrites, 1u);
-  EXPECT_EQ(S.counters().DroppedReads, 1u);
-}
-
-TEST(AccessSamplerTest, AdaptiveColdStartAndHeatFeedback) {
-  SamplingOptions Opts;
-  Opts.Strategy = SamplingStrategy::Adaptive;
-  Opts.Rate = 0.0; // Only cold/hot admissions survive.
-  Opts.ColdAccesses = 3;
-  Opts.HotBudget = 2;
-  AccessSampler S(Opts);
-  LocId Loc = 11;
-  // First ColdAccesses accesses always admitted.
-  for (int I = 0; I < 3; ++I)
-    EXPECT_TRUE(S.shouldSample(makeAccess(1, Loc, AccessKind::Read),
-                               InvalidOpId, {}, {}));
-  EXPECT_EQ(S.counters().ColdPass, 3u);
-  // Past the cold window at rate 0: dropped.
-  EXPECT_FALSE(S.shouldSample(makeAccess(2, Loc, AccessKind::Read),
-                              InvalidOpId, {}, {}));
-  // A race on the location re-arms it for HotBudget accesses.
-  S.noteRace(Loc);
-  EXPECT_TRUE(S.shouldSample(makeAccess(3, Loc, AccessKind::Write),
-                             InvalidOpId, {}, {}));
-  EXPECT_TRUE(S.shouldSample(makeAccess(4, Loc, AccessKind::Read),
-                             InvalidOpId, {}, {}));
-  EXPECT_FALSE(S.shouldSample(makeAccess(5, Loc, AccessKind::Read),
-                              InvalidOpId, {}, {}));
-  EXPECT_EQ(S.counters().HotPass, 2u);
-  EXPECT_EQ(S.counters().HotLocations, 1u);
-  // Inflation heat marks a different location the same way, counted once
-  // even when marked repeatedly.
-  S.noteInflation(Loc + 1);
-  S.noteInflation(Loc + 1);
-  EXPECT_EQ(S.counters().HotLocations, 2u);
-}
-
 TEST(AccessSamplerTest, CountersPartitionExactly) {
   SamplingOptions Opts;
-  Opts.Strategy = SamplingStrategy::Adaptive;
   Opts.Rate = 0.3;
   Opts.Seed = 9;
   AccessSampler S(Opts);
   for (int I = 0; I < 500; ++I)
     S.shouldSample(makeAccess(1 + static_cast<OpId>(I % 7),
                               static_cast<LocId>(I % 23),
-                              I % 3 ? AccessKind::Read : AccessKind::Write),
-                   InvalidOpId, {}, {});
+                              I % 3 ? AccessKind::Read : AccessKind::Write));
   const sample::SamplerCounters &C = S.counters();
   EXPECT_EQ(C.SeenReads + C.SeenWrites, 500u);
   EXPECT_EQ(C.SeenReads, C.SampledReads + C.DroppedReads);
   EXPECT_EQ(C.SeenWrites, C.SampledWrites + C.DroppedWrites);
-  // Every admission was attributed to exactly one pass counter.
-  EXPECT_EQ(C.SampledReads + C.SampledWrites,
-            C.LocationPass + C.PairPass + C.ColdPass + C.HotPass +
-                C.RngPass);
 }
 
 TEST(RaceDetectorSamplingTest, RateOneConstructsNoSampler) {
@@ -167,7 +110,6 @@ TEST(RaceDetectorSamplingTest, DetectorProcessesExactlyAdmittedAccesses) {
   OpId B = Hb.addOperation(Operation());
   Hb.addEdge(A, B, HbRule::RProgram);
   detect::DetectorOptions Opts;
-  Opts.Sampling.Strategy = SamplingStrategy::PerLocation;
   Opts.Sampling.Rate = 0.4;
   Opts.Sampling.Seed = 5;
   detect::RaceDetector D(Hb, Interner, Opts);
@@ -212,9 +154,8 @@ std::string figureReportsDocument(const SamplingOptions &Sampling) {
 TEST(RaceDetectorSamplingTest, RateOneReportsMatchGoldenFile) {
   // Rate 1.0 must be indistinguishable from the pre-sampling detector:
   // the same golden bytes report_schema_test locks down, no wr_sampling
-  // section, regardless of the configured strategy.
+  // section, regardless of the configured seed.
   SamplingOptions Sampling;
-  Sampling.Strategy = SamplingStrategy::PerPair;
   Sampling.Rate = 1.0;
   Sampling.Seed = 99;
   std::string Actual = figureReportsDocument(Sampling);
@@ -227,11 +168,153 @@ TEST(RaceDetectorSamplingTest, RateOneReportsMatchGoldenFile) {
 
 TEST(RaceDetectorSamplingTest, SampledFigureReportsAreDeterministic) {
   SamplingOptions Sampling;
-  Sampling.Strategy = SamplingStrategy::Adaptive;
   Sampling.Rate = 0.2;
   Sampling.Seed = 13;
   EXPECT_EQ(figureReportsDocument(Sampling),
             figureReportsDocument(Sampling));
+}
+
+/// Every field the detector fills in a race, as one line.
+std::string describe(const detect::Race &R) {
+  auto Side = [](const Access &A) {
+    return std::to_string(A.Op) + " " + toString(A.Kind) + " " +
+           toString(A.Origin) + " loc " + std::to_string(A.Loc) + " '" +
+           A.Detail + "'";
+  };
+  return std::string(detect::toString(R.Kind)) + " on " + toString(R.Loc) +
+         ": " + Side(R.First) + " / " + Side(R.Second) +
+         (R.WriteHadPriorReadInOp ? " prior-read" : "");
+}
+
+/// The raw and filtered races of one run of an input.
+struct RunRaces {
+  std::vector<detect::Race> Raw;
+  std::vector<detect::Race> Filtered;
+};
+
+/// Runs one input with the given sampling options.
+using RunFn = std::function<RunRaces(const SamplingOptions &)>;
+
+/// Raw races of the unsampled runs the admitted-location oracle kept and
+/// dropped, summed over rates.
+struct Tally {
+  uint64_t Kept = 0;
+  uint64_t Dropped = 0;
+};
+
+/// Runs one input unsampled and at rates 0.1, 0.3 and 0.7 with hash seed
+/// \p Seed. Each sampled run's raw and filtered races must be exactly the
+/// unsampled run's races whose Second.Loc the same sampler admits: a kept
+/// location sees its whole access history, and no detector state crosses
+/// locations.
+void checkAdmittedLocationRaces(const RunFn &Run, uint64_t Seed,
+                                const std::string &What, Tally &T) {
+  RunRaces Full = Run(SamplingOptions());
+  for (double Rate : {0.1, 0.3, 0.7}) {
+    SamplingOptions Opts;
+    Opts.Rate = Rate;
+    Opts.Seed = Seed;
+    RunRaces Got = Run(Opts);
+    AccessSampler Admits(Opts);
+    auto Admitted = [&](const std::vector<detect::Race> &Races) {
+      std::vector<std::string> Out;
+      for (const detect::Race &R : Races)
+        if (Admits.shouldSample(R.Second))
+          Out.push_back(describe(R));
+      return Out;
+    };
+    auto All = [](const std::vector<detect::Race> &Races) {
+      std::vector<std::string> Out;
+      for (const detect::Race &R : Races)
+        Out.push_back(describe(R));
+      return Out;
+    };
+    std::string Config = What + " at rate " + std::to_string(Rate);
+    std::vector<std::string> WantRaw = Admitted(Full.Raw);
+    T.Kept += WantRaw.size();
+    T.Dropped += Full.Raw.size() - WantRaw.size();
+    EXPECT_EQ(All(Got.Raw), WantRaw) << Config << ", raw races";
+    EXPECT_EQ(All(Got.Filtered), Admitted(Full.Filtered))
+        << Config << ", filtered races";
+  }
+}
+
+/// A session run of the page \p Html at \p EntryUrl, whose other
+/// resources \p Add registers, at browser seed \p Seed.
+template <typename AddResources>
+RunRaces runPage(const std::string &EntryUrl, const std::string &Html,
+                 uint64_t Seed, const SamplingOptions &Sampling,
+                 AddResources Add) {
+  webracer::SessionOptions Opts;
+  Opts.Browser.Seed = Seed;
+  Opts.Detector.Sampling = Sampling;
+  webracer::Session S(Opts);
+  S.network().addResource(EntryUrl, Html, 10);
+  Add(S.network());
+  webracer::SessionResult R = S.run(EntryUrl);
+  return {R.RawRaces, R.FilteredRaces};
+}
+
+TEST(RaceDetectorSamplingTest, SampledRacesAreTheAdmittedLocationsRaces) {
+  Tally Random;
+  for (uint64_t Seed = 1; Seed <= 50; ++Seed) {
+    test::RandomTrace Trace(Seed);
+    checkAdmittedLocationRaces(
+        [&](const SamplingOptions &Sampling) {
+          detect::ReplayOptions Opts;
+          Opts.Detector.Sampling = Sampling;
+          detect::ReplayResult R = detect::replayTrace(Trace.log(), Opts);
+          return RunRaces{R.RawRaces, R.FilteredRaces};
+        },
+        Seed, "random trace " + std::to_string(Seed), Random);
+  }
+
+  Tally Figures;
+  for (const analysis::PageSpec &Page : analysis::figurePages())
+    checkAdmittedLocationRaces(
+        [&](const SamplingOptions &Sampling) {
+          return runPage(Page.EntryUrl, Page.Html, 7, Sampling,
+                         [&](rt::NetworkSimulator &Net) {
+                           for (const analysis::PageResource &R :
+                                Page.Resources)
+                             Net.addResource(R.Url, R.Content, R.LatencyUs);
+                         });
+        },
+        13, Page.Name, Figures);
+
+  Tally Corpus;
+  std::vector<sites::GeneratedSite> Sites =
+      sites::buildFortune100Corpus(2012);
+  Sites.resize(25);
+  Rng Seeds(2012);
+  for (const sites::GeneratedSite &Site : Sites) {
+    uint64_t BrowserSeed = Seeds.next();
+    checkAdmittedLocationRaces(
+        [&](const SamplingOptions &Sampling) {
+          return runPage(Site.IndexUrl, Site.Html, BrowserSeed, Sampling,
+                         [&](rt::NetworkSimulator &Net) {
+                           for (const sites::SiteResource &R :
+                                Site.Resources)
+                             Net.addResourceWithJitter(R.Url, R.Body,
+                                                       R.MinLatencyUs,
+                                                       R.MaxLatencyUs);
+                         });
+        },
+        BrowserSeed, Site.Name, Corpus);
+  }
+
+  // Every input family must both keep and drop races, or the comparison
+  // says nothing.
+  for (const auto &[Inputs, T] :
+       {std::pair<const char *, Tally>{"random traces", Random},
+        {"figure pages", Figures},
+        {"corpus sites", Corpus}}) {
+    std::printf("%s: %llu raw races kept, %llu dropped\n", Inputs,
+                static_cast<unsigned long long>(T.Kept),
+                static_cast<unsigned long long>(T.Dropped));
+    EXPECT_GT(T.Kept, 0u) << Inputs;
+    EXPECT_GT(T.Dropped, 0u) << Inputs;
+  }
 }
 
 TEST(CorpusSamplingTest, SampledReportsAreJobCountInvariant) {
@@ -239,7 +322,6 @@ TEST(CorpusSamplingTest, SampledReportsAreJobCountInvariant) {
       sites::buildFortune100Corpus(2012);
   Corpus.resize(12);
   webracer::SessionOptions Opts;
-  Opts.Detector.Sampling.Strategy = SamplingStrategy::Adaptive;
   Opts.Detector.Sampling.Rate = 0.1;
   Opts.Detector.Sampling.Seed = 2012;
   std::string Reference;

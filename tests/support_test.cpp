@@ -336,12 +336,11 @@ TEST(WatermarksTest, AllZero) {
   EXPECT_FALSE(wr::support::watermarksAllZero(A, 5));
 }
 
-TEST(WatermarksTest, VectorTierMatchesSwarReference) {
-  // Lane-for-lane parity between the public entry points (AVX2, NEON, or
-  // SWAR depending on the build) and the always-compiled SWAR reference,
-  // over lengths past several vector widths, unaligned offsets, and
-  // values up to UINT32_MAX - the epu32 max/compare path is unsigned, so
-  // high-bit watermarks must not flip comparisons.
+TEST(WatermarksTest, FullRangeMatchesScalarLoops) {
+  // Lane-for-lane parity with plain scalar loops over lengths past
+  // several packed words, unaligned offsets, and values up to UINT32_MAX
+  // - each uint64_t word packs two watermarks, so high-bit watermarks
+  // must not leak into or flip the neighbouring lane's comparison.
   wr::Rng Rng(23);
   std::vector<uint32_t> A(48), B(48), Dst(48), RefDst(48);
   for (int Iter = 0; Iter < 800; ++Iter) {
@@ -359,18 +358,20 @@ TEST(WatermarksTest, VectorTierMatchesSwarReference) {
       std::fill(A.begin(), A.begin() + 24, 0u);
     size_t Off = Rng.next() % 5;
     size_t Len = Rng.next() % 41;
+    bool RefDominated = true, RefAllZero = true;
+    for (size_t I = Off; I < Off + Len; ++I) {
+      RefDominated = RefDominated && A[I] <= B[I];
+      RefAllZero = RefAllZero && A[I] == 0;
+    }
     EXPECT_EQ(wr::support::watermarksDominated(A.data() + Off,
                                                B.data() + Off, Len),
-              wr::support::detail::watermarksDominatedSwar(
-                  A.data() + Off, B.data() + Off, Len));
+              RefDominated);
     EXPECT_EQ(wr::support::watermarksAllZero(A.data() + Off, Len),
-              wr::support::detail::watermarksAllZeroSwar(A.data() + Off,
-                                                         Len));
-    for (size_t I = 0; I < B.size(); ++I)
-      Dst[I] = RefDst[I] = B[I];
+              RefAllZero);
+    Dst = RefDst = B;
+    for (size_t I = Off; I < Off + Len; ++I)
+      RefDst[I] = std::max(RefDst[I], A[I]);
     wr::support::watermarksJoinMax(Dst.data() + Off, A.data() + Off, Len);
-    wr::support::detail::watermarksJoinMaxSwar(RefDst.data() + Off,
-                                               A.data() + Off, Len);
     EXPECT_EQ(Dst, RefDst);
   }
 }

@@ -20,7 +20,6 @@
 #include "detect/RaceDetector.h"
 #include "hb/HbGraph.h"
 #include "hb/PartialOrderEngine.h"
-#include "sample/Sampling.h"
 #include "sites/Patterns.h"
 
 #include <gtest/gtest.h>
@@ -254,25 +253,6 @@ std::vector<Ordering> allOrderings() {
   return All;
 }
 
-std::vector<sample::SamplingStrategy> allSamplingStrategies() {
-  using sample::SamplingStrategy;
-  std::vector<SamplingStrategy> All;
-  auto Covered = [](SamplingStrategy S) {
-    switch (S) {
-    case SamplingStrategy::PerLocation:
-    case SamplingStrategy::PerPair:
-    case SamplingStrategy::Adaptive:
-      return S;
-    }
-    return S;
-  };
-  for (SamplingStrategy S :
-       {SamplingStrategy::PerLocation, SamplingStrategy::PerPair,
-        SamplingStrategy::Adaptive})
-    All.push_back(Covered(S));
-  return All;
-}
-
 std::vector<detect::PredictionVerdict> allPredictionVerdicts() {
   using detect::PredictionVerdict;
   std::vector<PredictionVerdict> All;
@@ -381,27 +361,6 @@ TEST(ToStringExhaustiveTest, EngineKindNamesRoundTripThroughParse) {
   EXPECT_FALSE(parseEngineKind("unknown", Untouched));
   EXPECT_FALSE(parseEngineKind("", Untouched));
   EXPECT_EQ(Untouched, EngineKind::Wcp);
-}
-
-TEST(ToStringExhaustiveTest, SamplingStrategyNamesAreComplete) {
-  expectCompleteStringTable(
-      allSamplingStrategies(),
-      [](sample::SamplingStrategy S) { return sample::toString(S); },
-      "unknown");
-}
-
-TEST(ToStringExhaustiveTest, SamplingStrategyNamesRoundTripThroughParse) {
-  // The CLI spellings must parse back to the exact enumerator.
-  for (sample::SamplingStrategy S : allSamplingStrategies()) {
-    sample::SamplingStrategy Parsed = sample::SamplingStrategy::Adaptive;
-    EXPECT_TRUE(sample::parseSamplingStrategy(sample::toString(S), Parsed))
-        << sample::toString(S);
-    EXPECT_EQ(Parsed, S);
-  }
-  sample::SamplingStrategy Untouched = sample::SamplingStrategy::PerPair;
-  EXPECT_FALSE(sample::parseSamplingStrategy("unknown", Untouched));
-  EXPECT_FALSE(sample::parseSamplingStrategy("", Untouched));
-  EXPECT_EQ(Untouched, sample::SamplingStrategy::PerPair);
 }
 
 TEST(ToStringExhaustiveTest, OrderingNamesAreComplete) {

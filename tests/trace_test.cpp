@@ -304,44 +304,53 @@ TEST(TraceSerdeTest, RejectsAccessByUnknownOperation) {
   expectRejected(ByUncreated, "access by an operation never created");
 }
 
-TEST(TraceSerdeTest, LegacyWrt1RoundTripsWithIdenticalIds) {
-  Session S(recordingOptions());
-  registerFig1(S.network());
-  S.run("index.html");
-  const TraceLog &Log = *S.trace();
-  std::string Legacy = Log.serializeLegacyWrt1();
-  ASSERT_EQ(Legacy.compare(0, 4, "WRT1"), 0);
-
-  TraceLog Out;
-  std::string Error;
-  ASSERT_TRUE(TraceLog::deserialize(Legacy, Out, &Error)) << Error;
-  ASSERT_EQ(Out.size(), Log.size());
-  // WRT1 carries no ids: re-interning its inline locations in stream
-  // order (first-touch order) must reproduce the online ids exactly,
-  // which expectEventsEqual checks through Mem.Loc.
-  for (size_t I = 0; I < Log.size(); ++I)
-    expectEventsEqual(Log.events()[I], Out.events()[I]);
-  EXPECT_EQ(Out.interner().size(), Log.interner().size());
-  // And re-encoding in the current format reproduces the WRT2 bytes.
-  EXPECT_EQ(Out.serialize(), Log.serialize());
+TEST(TraceSerdeTest, LegacyWrt1IsRejectedWithBadMagic) {
+  // WRT1 inlined every location into its access records. Its readers are
+  // gone: an empty WRT1 trace and one with an OpBegin event, both valid
+  // under that layout, are now foreign bytes.
+  for (const std::string &Legacy :
+       {std::string("WRT1\x00", 5), std::string("WRT1\x01\x01\x01", 7)}) {
+    TraceLog Out;
+    Out.onOperationBegin(99); // Pre-populate to observe clearing.
+    std::string Error;
+    EXPECT_FALSE(TraceLog::deserialize(Legacy, Out, &Error));
+    EXPECT_NE(Error.find("bad magic"), std::string::npos) << Error;
+    EXPECT_TRUE(Out.empty());
+  }
 }
 
-TEST(TraceReplayTest, LegacyWrt1ReplayMatchesOnlineRun) {
-  Session S(recordingOptions());
-  registerFig1(S.network());
-  SessionResult Online = S.run("index.html");
-  TraceLog Decoded;
-  ASSERT_TRUE(
-      TraceLog::deserialize(S.trace()->serializeLegacyWrt1(), Decoded));
-  detect::ReplayResult Offline = detect::replayTrace(Decoded);
-  EXPECT_EQ(detect::describeRaces(Offline.RawRaces, Offline.Hb),
-            detect::describeRaces(Online.RawRaces, S.browser().hb()));
-  EXPECT_EQ(detect::describeRaces(Offline.FilteredRaces, Offline.Hb),
-            detect::describeRaces(Online.FilteredRaces, S.browser().hb()));
-  EXPECT_EQ(Offline.Stats.ChcQueries, Online.Stats.ChcQueries);
-  EXPECT_EQ(Offline.Stats.EpochHits, Online.Stats.EpochHits);
-  EXPECT_EQ(Offline.Stats.InternedLocations,
-            Online.Stats.InternedLocations);
+TEST(TraceSerdeTest, RejectsEventCountBeyondInputSize) {
+  // A 13-byte file declaring 2^56 - 1 events: the count is rejected
+  // before anything is reserved for it.
+  TraceLog Out;
+  std::string Error;
+  EXPECT_FALSE(TraceLog::deserialize(
+      std::string("WRT2\x00\xff\xff\xff\xff\xff\xff\xff\x7f", 13), Out,
+      &Error));
+  EXPECT_NE(Error.find("event count exceeds trace size"), std::string::npos)
+      << Error;
+  EXPECT_TRUE(Out.empty());
+}
+
+TEST(TraceSerdeTest, EventCountBoundIsTwoBytesPerEvent) {
+  // "WRT2", no locations, count 2, then two two-byte OpBegin records:
+  // the count sits exactly at the bound and decodes.
+  TraceLog Log;
+  Log.onOperationBegin(1);
+  Log.onOperationBegin(2);
+  std::string Bytes = Log.serialize();
+  ASSERT_EQ(Bytes, std::string("WRT2\x00\x02\x01\x01\x01\x02", 10));
+  TraceLog Out;
+  std::string Error;
+  ASSERT_TRUE(TraceLog::deserialize(Bytes, Out, &Error)) << Error;
+  EXPECT_EQ(Out.size(), 2u);
+  // One event past the bound is rejected by the count check, not by the
+  // truncation the event loop would hit later.
+  Bytes[5] = '\x03';
+  EXPECT_FALSE(TraceLog::deserialize(Bytes, Out, &Error));
+  EXPECT_NE(Error.find("event count exceeds trace size"), std::string::npos)
+      << Error;
+  EXPECT_TRUE(Out.empty());
 }
 
 TEST(TraceReplayTest, GraphReconstructionMatchesOnline) {

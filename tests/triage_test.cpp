@@ -2,9 +2,9 @@
 //
 // The triage engine's contract:
 //
-//  * Structural signatures are invariant under the seed, the site layout
-//    (pattern uniquifier suffixes), and the trace encoding (WRT1 vs
-//    WRT2) - the same source pattern signs identically everywhere.
+//  * Structural signatures are invariant under the seed and the site
+//    layout (pattern uniquifier suffixes) - the same source pattern signs
+//    identically everywhere.
 //  * Suppression files round-trip through parse/serialize, reject
 //    malformed input with line-numbered diagnostics, and drop races
 //    without silent attrition (counts land in FilterCounts, per-entry
@@ -131,39 +131,6 @@ TEST(SignatureTest, InvariantAcrossSiteLayouts) {
   sites::SiteRunStats B = sites::runSite(Second, Base, 99);
   ASSERT_FALSE(A.Signatures.empty());
   EXPECT_EQ(signatureTexts(A), signatureTexts(B));
-}
-
-TEST(SignatureTest, InvariantAcrossTraceEncodings) {
-  // One execution, two encodings: the WRT2 bytes and the legacy WRT1
-  // bytes of the same trace must replay to byte-identical signatures.
-  sites::GeneratedSite Site = patternSite(
-      "sig-wrt", {{sites::PatternKind::FormValueHarmful, 1}});
-  webracer::SessionOptions Opts;
-  Opts.RecordTrace = true;
-  webracer::Session S(Opts);
-  S.network().addResource(Site.IndexUrl, Site.Html, 10);
-  for (const sites::SiteResource &R : Site.Resources)
-    S.network().addResourceWithJitter(R.Url, R.Body, R.MinLatencyUs,
-                                      R.MaxLatencyUs);
-  (void)S.run(Site.IndexUrl);
-  ASSERT_NE(S.trace(), nullptr);
-
-  auto SignedReplay = [](const std::string &Bytes) {
-    TraceLog Log;
-    std::string Error;
-    EXPECT_TRUE(TraceLog::deserialize(Bytes, Log, &Error)) << Error;
-    detect::ReplayResult R = detect::replayTrace(Log);
-    std::vector<std::string> Texts;
-    for (const detect::Race &Race : R.FilteredRaces)
-      Texts.push_back(triage::computeSignature(Race, R.Hb).text());
-    std::sort(Texts.begin(), Texts.end());
-    return Texts;
-  };
-  std::vector<std::string> Wrt2 = SignedReplay(S.trace()->serialize());
-  std::vector<std::string> Wrt1 =
-      SignedReplay(S.trace()->serializeLegacyWrt1());
-  ASSERT_FALSE(Wrt2.empty());
-  EXPECT_EQ(Wrt2, Wrt1);
 }
 
 TEST(SignatureTest, HashAndIdAreStableFunctionsOfText) {

@@ -49,9 +49,6 @@ HEADLINE_PATHS = [
     ("aggregate", "wr_sampling", "seen", "total"),
     ("aggregate", "wr_sampling", "sampled", "total"),
     ("aggregate", "wr_sampling", "dropped", "total"),
-    ("aggregate", "wr_sampling", "passes", "cold"),
-    ("aggregate", "wr_sampling", "passes", "hot"),
-    ("aggregate", "wr_sampling", "hot_locations"),
     ("aggregate", "phases", "detect", "virtual_us"),
     ("aggregate", "phases", "detect", "entries"),
     ("aggregate", "wr_prediction", "shb", "pairs_checked"),

@@ -43,10 +43,6 @@
 //                       access stream the detector sees, in [0, 1]
 //                       (default 1 = full instrumentation; below 1 the
 //                       report grows a wr_sampling attrition group)
-//   --sample-strategy NAME
-//                       page, replay, corpus, batch: per-location,
-//                       per-pair, or adaptive (the default; cold-region
-//                       biasing with inflation/race heat)
 //   --trace             page: dump the full instrumentation trace;
 //                       cross-check --static-only: dump the must-HB graph
 //   --record FILE       page: write the execution trace to FILE (WRT2)
@@ -109,8 +105,7 @@ int usage(const char *Argv0) {
       "  batch --traces DIR    deduplicating ingest of a trace directory\n"
       "\n"
       "common options: --engine hb|shb|wcp, --json FILE,\n"
-      "  --metrics, --suppressions FILE, --sample-rate X,\n"
-      "  --sample-strategy per-location|per-pair|adaptive; see the\n"
+      "  --metrics, --suppressions FILE, --sample-rate X; see the\n"
       "  header of this tool or README.md for the per-subcommand "
       "tables.\n",
       Argv0);
@@ -279,18 +274,15 @@ struct CliOptions {
   bool StaticOnly = false;
   EngineKind Engine = EngineKind::Hb;
   double SampleRate = 1.0;
-  sample::SamplingStrategy SampleStrategy =
-      sample::SamplingStrategy::Adaptive;
   std::string RecordFile, JsonFile, SuppressionsFile, TracesDir;
   uint64_t Sites = 0;
   unsigned Jobs = 1;
 
   /// The sampling configuration the parsed flags describe; \p Seed keys
-  /// the sampler's private stream (the run's --seed where the
-  /// subcommand has one).
+  /// the sampler's location hash (the run's --seed where the subcommand
+  /// has one).
   sample::SamplingOptions samplingOptions(uint64_t Seed) const {
     sample::SamplingOptions S;
-    S.Strategy = SampleStrategy;
     S.Rate = SampleRate;
     S.Seed = Seed;
     return S;
@@ -317,7 +309,7 @@ bool modeAccepts(Mode M, const std::string &Flag) {
     return In({Mode::Page, Mode::Replay, Mode::Batch});
   if (Flag == "--suppressions")
     return In({Mode::Page, Mode::Replay, Mode::Corpus, Mode::Batch});
-  if (Flag == "--sample-rate" || Flag == "--sample-strategy")
+  if (Flag == "--sample-rate")
     return In({Mode::Page, Mode::Replay, Mode::Corpus, Mode::Batch});
   if (Flag == "--trace")
     return In({Mode::Page, Mode::CrossCheck});
@@ -413,17 +405,6 @@ int parseModeArgs(CliOptions &O, const std::vector<std::string> &Args,
       const char *V = Value("--sample-rate");
       if (!V || !parseRateArg("--sample-rate", V, O.SampleRate))
         return 2;
-    } else if (Arg == "--sample-strategy") {
-      const char *V = Value("--sample-strategy");
-      if (!V)
-        return 2;
-      if (!sample::parseSamplingStrategy(V, O.SampleStrategy)) {
-        std::fprintf(stderr,
-                     "error: unknown sampling strategy '%s' (expected "
-                     "per-location, per-pair, or adaptive)\n",
-                     V);
-        return 2;
-      }
     } else if (Arg == "--trace") {
       O.Trace = true;
     } else if (Arg == "--record") {
