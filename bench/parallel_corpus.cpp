@@ -8,8 +8,7 @@
 // change any result; a mismatch is a bug and exits 1.
 //
 // An optional argument names a file to receive the jobs=1 report, so CI
-// can archive it and diff headline counters against a checked-in
-// baseline:
+// can archive it and diff it against a checked-in baseline:
 //
 //   parallel_corpus [report.json]
 //

@@ -1,6 +1,6 @@
 //===- bench/race_prediction.cpp - Predictive-engine dominance gate -----------===//
 //
-// The acceptance gate for the pluggable partial-order engines (ISSUE 7):
+// The acceptance gate for the SHB and WCP predictive passes:
 //
 //  1. On each seeded prediction pattern (a single-pattern site), SHB
 //     strictly dominates the first-race-only observed run: every race
@@ -11,9 +11,9 @@
 //     (location, operation-pair) key, and corpus-wide by the headline
 //     counters (candidates and predicted, per site).
 //
-//  3. Selecting the default engine changes nothing: the fig1-fig5 run
-//     reports under --engine hb are byte-identical to the checked-in
-//     golden file (tests/golden/fig_reports.json).
+//  3. The predictive orders leave the observed run alone: the fig1-fig5
+//     run reports without prediction are byte-identical to the
+//     checked-in golden file (tests/golden/fig_reports.json).
 //
 // Usage: race_prediction [--quick]   (--quick runs a 25-site corpus)
 //
@@ -183,13 +183,12 @@ int main(int Argc, char **Argv) {
               static_cast<unsigned long long>(WcpPredicted),
               static_cast<unsigned long long>(WcpDropped));
 
-  // Gate 3: the default engine's fig-page reports are byte-identical to
-  // the golden file - the refactor changed nothing observable.
+  // Gate 3: the fig-page reports without prediction are byte-identical
+  // to the golden file - the observed run is untouched.
   obs::Json All = obs::Json::array();
   for (const analysis::PageSpec &Page : analysis::figurePages()) {
     webracer::SessionOptions Opts;
     Opts.Browser.Seed = 7;
-    Opts.Detector.Engine = EngineKind::Hb;
     webracer::Session S(Opts);
     S.network().addResource(Page.EntryUrl, Page.Html, 10);
     for (const analysis::PageResource &R : Page.Resources)
@@ -206,12 +205,12 @@ int main(int Argc, char **Argv) {
     std::ostringstream Expected;
     Expected << In.rdbuf();
     if (Actual != Expected.str()) {
-      std::printf("FAIL: --engine hb fig reports differ from %s "
+      std::printf("FAIL: fig reports differ from %s "
                   "(%zu vs %zu bytes)\n",
                   WR_GOLDEN_FILE, Actual.size(), Expected.str().size());
       ++Failures;
     } else {
-      std::printf("fig reports under --engine hb: byte-identical to "
+      std::printf("fig reports without prediction: byte-identical to "
                   "golden (%zu bytes)\n",
                   Actual.size());
     }
@@ -221,7 +220,7 @@ int main(int Argc, char **Argv) {
     std::printf("RESULT: %d FAILURE(S)\n", Failures);
     return 1;
   }
-  std::printf("RESULT: OK (SHB dominates, WCP contains SHB, hb output "
-              "unchanged)\n");
+  std::printf("RESULT: OK (SHB dominates, WCP contains SHB, observed "
+              "output unchanged)\n");
   return 0;
 }

@@ -2,9 +2,6 @@
 
 #include "detect/Prediction.h"
 
-#include "detect/TraceReplay.h"
-#include "hb/PredictiveEngine.h"
-
 #include <algorithm>
 #include <memory>
 
@@ -32,13 +29,10 @@ size_t PredictionResult::predictedCount() const {
   return Races.size() - observedMatched();
 }
 
-std::vector<EngineKind> wr::detect::enginesToPredict(EngineKind Effective) {
-  if (Effective == EngineKind::Shb || Effective == EngineKind::Wcp)
-    return {Effective};
-  return {EngineKind::Shb, EngineKind::Wcp};
-}
+namespace {
 
-obs::PredictionRow wr::detect::toStatsRow(const PredictionResult &Result) {
+/// Folds one pass's findings into the report schema's wr_prediction row.
+obs::PredictionRow toStatsRow(const PredictionResult &Result) {
   obs::PredictionRow Row;
   Row.Engine = wr::toString(Result.Engine);
   Row.PairsChecked = Result.PairsChecked;
@@ -65,8 +59,6 @@ obs::PredictionRow wr::detect::toStatsRow(const PredictionResult &Result) {
   }
   return Row;
 }
-
-namespace {
 
 /// The unordered operation pair as one key (OpIds are 32-bit).
 uint64_t packPair(OpId A, OpId B) {
@@ -157,19 +149,12 @@ PredictionResult wr::detect::predictRaces(const TraceLog &Log,
   PredictionResult Result;
   Result.Engine = Engine;
 
-  // The Hb baseline answers from the fully reconstructed observed graph;
-  // the predictive engines build their own clocks from the stream.
-  HbGraph ObservedHb;
-  std::unique_ptr<PartialOrderEngine> Owned;
-  if (Engine == EngineKind::Hb) {
-    ObservedHb = buildHbGraphFromTrace(Log);
-    Owned = std::make_unique<HbEngine>(ObservedHb);
-  } else if (Engine == EngineKind::Shb) {
+  std::unique_ptr<PredictiveEngine> Owned;
+  if (Engine == EngineKind::Shb)
     Owned = std::make_unique<ShbEngine>();
-  } else {
+  else
     Owned = std::make_unique<WcpEngine>();
-  }
-  PartialOrderEngine &PO = *Owned;
+  PredictiveEngine &PO = *Owned;
 
   const std::vector<TraceEvent> &Events = Log.events();
 
@@ -216,7 +201,7 @@ PredictionResult wr::detect::predictRaces(const TraceLog &Log,
           return;
         }
         ++Result.PairsChecked;
-        if (!PO.concurrent(Prior.Op, A.Op))
+        if (PO.ordering(Prior.Op, A.Op) != Ordering::Concurrent)
           return;
         uint64_t Ops = packPair(Prior.Op, A.Op);
         if (!Seen.insert(A.Loc, Ops))
@@ -259,7 +244,21 @@ PredictionResult wr::detect::predictRaces(const TraceLog &Log,
                            : PredictionVerdict::Predicted;
   }
 
-  if (Engine == EngineKind::Shb || Engine == EngineKind::Wcp)
-    Result.DroppedEdges = static_cast<PredictiveEngine &>(PO).droppedEdges();
+  Result.DroppedEdges = PO.droppedEdges();
   return Result;
+}
+
+void wr::detect::predictAll(const TraceLog &Log,
+                            const std::vector<Race> &ObservedRaw,
+                            std::vector<PredictionResult> &Results,
+                            obs::RunStats &Stats) {
+  // Held on the heap on purpose: batch ingest's peak RSS moves by up to a
+  // quarter with heap layout alone (glibc's dynamic mmap threshold), and
+  // an initializer list here moved bench/perf's batch peak_rss_mb from 40
+  // to 50 MB on one checkout path.
+  const std::vector<EngineKind> Engines = {EngineKind::Shb, EngineKind::Wcp};
+  for (EngineKind Engine : Engines) {
+    Results.push_back(predictRaces(Log, Engine, ObservedRaw));
+    Stats.Prediction.push_back(toStatsRow(Results.back()));
+  }
 }

@@ -6,13 +6,15 @@
 ///
 /// \file
 /// The predictive race pass: replays a recorded trace's event stream
-/// through a pluggable PartialOrderEngine and reports every conflicting
-/// access pair the engine leaves unordered - including races *after* the
-/// first one per location, which the paper's single-slot online detector
-/// never sees. Each access is checked against the location's full history
-/// *before* the engine applies the access's own update (SHB's
-/// check-then-update discipline), so under the SHB order every reported
-/// pair is a race in some feasible schedule of the recorded execution.
+/// through a predictive order (hb/PredictiveEngine.h) and reports every
+/// conflicting access pair the order leaves unordered - including races
+/// *after* the first one per location, which the paper's single-slot
+/// online detector never sees. A prediction run makes two passes, SHB
+/// then WCP (predictAll). Each access is checked against the location's
+/// full history *before* the engine applies the access's own update
+/// (SHB's check-then-update discipline), so under the SHB order every
+/// reported pair is a race in some feasible schedule of the recorded
+/// execution.
 ///
 /// Findings are deduplicated per (location, operation pair) and labeled:
 /// a pair the observed run also reported is Observed; everything else is
@@ -25,7 +27,7 @@
 #define WEBRACER_DETECT_PREDICTION_H
 
 #include "detect/RaceDetector.h"
-#include "hb/PartialOrderEngine.h"
+#include "hb/PredictiveEngine.h"
 #include "instr/TraceLog.h"
 #include "obs/RunStats.h"
 
@@ -64,20 +66,15 @@ struct PredictionResult {
 
 /// Runs the predictive pass over \p Log under \p Engine. \p ObservedRaw
 /// is the observed run's raw race list (online or replayed); it only
-/// labels verdicts, it never adds races. Hb reconstructs the observed
-/// graph and runs the same full-history check - the prediction
-/// baseline an SHB/WCP pass must dominate on feasible schedules.
+/// labels verdicts, it never adds races.
 PredictionResult predictRaces(const TraceLog &Log, EngineKind Engine,
                               const std::vector<Race> &ObservedRaw);
 
-/// The engines a run with effective engine \p Effective predicts with:
-/// a selected predictive engine predicts with itself; the HB engine
-/// (prediction requested via --predict) runs both predictive orders so
-/// the report carries the SHB/WCP delta side by side.
-std::vector<EngineKind> enginesToPredict(EngineKind Effective);
-
-/// Folds one pass's findings into the report schema's wr_prediction row.
-obs::PredictionRow toStatsRow(const PredictionResult &Result);
+/// A prediction run: the SHB pass, then the WCP pass, over \p Log, so
+/// the report carries the two deltas side by side. Appends each pass's
+/// result to \p Results and its wr_prediction row to \p Stats.
+void predictAll(const TraceLog &Log, const std::vector<Race> &ObservedRaw,
+                std::vector<PredictionResult> &Results, obs::RunStats &Stats);
 
 } // namespace wr::detect
 

@@ -39,7 +39,6 @@
 #define WEBRACER_DETECT_RACEDETECTOR_H
 
 #include "hb/HbGraph.h"
-#include "hb/PartialOrderEngine.h"
 #include "instr/Instrumentation.h"
 #include "mem/Location.h"
 #include "mem/LocationInterner.h"
@@ -79,11 +78,6 @@ struct DetectorOptions {
   Mode HistoryMode = Mode::SingleSlot;
   /// Report at most one race per location per run (paper footnote 13).
   bool OnePerLocation = true;
-  /// Which partial order the analysis runs over. The observed-race pass
-  /// always probes the happens-before graph it was constructed with;
-  /// Shb/Wcp select the predictive engine used when replaying or
-  /// predicting over a recorded trace (detect/Prediction.h).
-  EngineKind Engine = EngineKind::Hb;
   /// The production-overhead sampling layer (sample/Sampling.h). At the
   /// default rate 1.0 no sampler is constructed and every access reaches
   /// the detector - output is byte-identical to a build without the

@@ -67,9 +67,9 @@ DispatchCountFn wr::detect::dispatchCountsFromTrace(const TraceLog &Log) {
 ReplayResult wr::detect::replayTrace(const TraceLog &Log,
                                      const ReplayOptions &Opts) {
   ReplayResult Result;
-  // The observed pass always replays under happens-before; a predictive
-  // engine only adds passes below - race output stays byte-identical to
-  // the online run.
+  // The observed pass always replays under happens-before; prediction
+  // only adds passes below - race output stays byte-identical to the
+  // online run.
   Result.Hb.reserveOperations(countOperations(Log));
   // The trace's interner resolves the access stream's LocIds; it was
   // either mirrored from the online engine or rebuilt by deserialize.
@@ -119,11 +119,7 @@ ReplayResult wr::detect::replayTrace(const TraceLog &Log,
   S.Attrition = toAttrition(Attrition);
   S.Crashes = Crashes;
 
-  if (Opts.predictEffective()) {
-    for (EngineKind K : enginesToPredict(Opts.Detector.Engine)) {
-      Result.Predictions.push_back(predictRaces(Log, K, Result.RawRaces));
-      S.Prediction.push_back(toStatsRow(Result.Predictions.back()));
-    }
-  }
+  if (Opts.Predict)
+    predictAll(Log, Result.RawRaces, Result.Predictions, S);
   return Result;
 }

@@ -32,24 +32,15 @@
 
 namespace wr::detect {
 
-/// Configuration for one offline detection run. The partial order lives
-/// in Detector.Engine (hb | shb | wcp); the observed-race pass
+/// Configuration for one offline detection run. The observed-race pass
 /// always replays under happens-before (byte-identical to the online
-/// run), and selecting a predictive engine - or setting Predict - adds
-/// detect/Prediction.h passes whose results land in
-/// ReplayResult::Predictions and the stats' wr_prediction rows.
+/// run); Predict adds the SHB and WCP passes of detect/Prediction.h,
+/// whose results land in ReplayResult::Predictions and the stats'
+/// wr_prediction rows.
 struct ReplayOptions {
   DetectorOptions Detector;
-  /// Run the predictive passes even when Detector.Engine is an HB
-  /// engine (then both SHB and WCP run, for the side-by-side delta).
+  /// Run the SHB, then the WCP, predictive pass after the observed one.
   bool Predict = false;
-
-  /// Prediction runs when asked for, or implied by a predictive engine
-  /// (the partial order itself lives in Detector.Engine).
-  bool predictEffective() const {
-    EngineKind K = Detector.Engine;
-    return Predict || K == EngineKind::Shb || K == EngineKind::Wcp;
-  }
 };
 
 /// Everything an offline run produces. Mirrors the detection-relevant

@@ -117,12 +117,3 @@ void ClockIndex::join(OpId Op, const ClockRep &Snapshot) {
   R.Offset = Offset;
   R.Len = Len;
 }
-
-uint64_t ClockIndex::fullCopyBytes() const {
-  uint64_t Words = 0;
-  for (const ClockRep &R : Reps)
-    Words += width(R);
-  return Words * sizeof(uint32_t) +
-         Reps.size() * (sizeof(std::vector<uint32_t>) + 2 * sizeof(uint32_t)) +
-         ChainTails.size() * sizeof(OpId);
-}

@@ -102,10 +102,6 @@ public:
            ChainTails.size() * sizeof(OpId);
   }
 
-  /// Bytes if every built clock were its own std::vector<uint32_t> plus
-  /// a (chain, pos) record, with the same chain-tail table.
-  uint64_t fullCopyBytes() const;
-
   /// Built operations that aliased a slab (or needed none).
   uint64_t sharedClocks() const { return Shared; }
 

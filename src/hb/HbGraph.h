@@ -221,12 +221,6 @@ public:
   /// total, not just the slabs).
   uint64_t clockBytes() const { return Clocks.bytes(); }
 
-  /// Bytes the same index would hold if every operation materialized its
-  /// own full watermark vector (one std::vector<uint32_t> plus a chain
-  /// assignment per op, and the same chain-tail table) - the pre-arena
-  /// representation.
-  uint64_t fullCopyClockBytes() const { return Clocks.fullCopyBytes(); }
-
   /// Operations whose clock aliases their predecessor's slab (or needed
   /// no slab at all) instead of materializing a copy.
   uint64_t sharedClocks() const { return Clocks.sharedClocks(); }

@@ -7,6 +7,16 @@
 
 using namespace wr;
 
+const char *wr::toString(EngineKind Kind) {
+  switch (Kind) {
+  case EngineKind::Shb:
+    return "shb";
+  case EngineKind::Wcp:
+    return "wcp";
+  }
+  return "unknown";
+}
+
 void PredictiveEngine::onOperationCreated(OpId Op, const Operation &Meta) {
   (void)Op;
   (void)Meta;

@@ -5,10 +5,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Predictive partial-order engines that run over a replayed trace's
-/// event stream and answer ordering queries from a ClockIndex
-/// (hb/ClockIndex.h), the index HbGraph uses, fed with the edges each
-/// order keeps:
+/// The partial orders race prediction runs over a replayed trace's event
+/// stream (detect/Prediction.h runs both, SHB then WCP). Each answers
+/// ordering queries from a ClockIndex (hb/ClockIndex.h), the index
+/// HbGraph uses, fed with the edges the order keeps:
 ///
 ///  * ShbEngine - schedulable happens-before ("What Happens-After the
 ///    First Race?"): the observed HB edges plus a write-read edge from
@@ -35,11 +35,14 @@
 ///    candidate, not a guaranteed feasible race (the dropped rules are
 ///    real platform guarantees; see DESIGN.md).
 ///
+/// The prediction pass feeds every replayed event through the three
+/// hooks (operation creation, rule-tagged HB edges, memory accesses) in
+/// trace order, after a primeAccess() pre-pass over the accesses.
 /// Because clocks grow as accesses stream by (a reader's clock gains the
 /// last writer's), verdicts between existing operations are mutable, and
 /// a write-read edge can order a higher id before a lower one. The
-/// detector's epoch path assumes neither, so these engines serve the
-/// prediction driver (detect/Prediction.h) only.
+/// detector's epoch path assumes neither, so it probes HbGraph directly
+/// and these engines serve the prediction pass only.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -47,12 +50,23 @@
 #define WEBRACER_HB_PREDICTIVEENGINE_H
 
 #include "hb/ClockIndex.h"
-#include "hb/PartialOrderEngine.h"
+#include "hb/HbGraph.h"
+#include "mem/Location.h"
 
 #include <unordered_map>
 #include <vector>
 
 namespace wr {
+
+/// The predictive orders, in the order a prediction run reports them.
+enum class EngineKind : uint8_t {
+  Shb, ///< Schedulable-HB: HB plus write-read edges (SHB paper).
+  Wcp, ///< Weak-causally-precedes adaptation: SHB minus dispatch-order
+       ///< edges between non-conflicting operations.
+};
+
+/// Renders an engine kind as its report key (shb, wcp).
+const char *toString(EngineKind Kind);
 
 /// Shared machinery of the predictive orders: the kept in-edges of every
 /// operation feed a ClockIndex, built lazily in id order when an access
@@ -60,13 +74,28 @@ namespace wr {
 /// in-edge of an operation precedes its first access). A write snapshots
 /// its operation's clock as the location's last-write clock; a read joins
 /// that snapshot into its own operation's clock.
-class PredictiveEngine : public PartialOrderEngine {
+class PredictiveEngine {
 public:
-  Ordering ordering(OpId A, OpId B) const override;
+  PredictiveEngine() = default;
+  PredictiveEngine(const PredictiveEngine &) = delete;
+  PredictiveEngine &operator=(const PredictiveEngine &) = delete;
+  virtual ~PredictiveEngine() = default;
 
-  void onOperationCreated(OpId Op, const Operation &Meta) override;
-  void onHbEdge(OpId From, OpId To, HbRule Rule) override;
-  void onMemoryAccess(const Access &A) override;
+  /// Combined ordering verdict; requires A != B, both valid.
+  Ordering ordering(OpId A, OpId B) const;
+
+  virtual void onOperationCreated(OpId Op, const Operation &Meta);
+  virtual void onHbEdge(OpId From, OpId To, HbRule Rule);
+  void onMemoryAccess(const Access &A);
+
+  /// Pre-pass: called once per access, before any other hook, for orders
+  /// that need both endpoints' access sets to classify an edge (WCP's
+  /// conflict test). Default: no-op.
+  virtual void primeAccess(OpId Op, LocId Loc, AccessKind Kind) {
+    (void)Op;
+    (void)Loc;
+    (void)Kind;
+  }
 
   /// Chains the incremental index uses so far.
   size_t numChains() const { return Clocks.numChains(); }
@@ -100,18 +129,13 @@ private:
 };
 
 /// SHB: every observed edge kept, write-read edges via last-write joins.
-class ShbEngine final : public PredictiveEngine {
-public:
-  EngineKind kind() const override { return EngineKind::Shb; }
-};
+class ShbEngine final : public PredictiveEngine {};
 
 /// WCP adaptation: SHB minus dispatch-order edges (rules 9/17) between
 /// non-conflicting operations. Needs the primeAccess() pre-pass so both
 /// endpoints' access sets exist when an edge is classified.
 class WcpEngine final : public PredictiveEngine {
 public:
-  EngineKind kind() const override { return EngineKind::Wcp; }
-
   void onOperationCreated(OpId Op, const Operation &Meta) override;
   void onHbEdge(OpId From, OpId To, HbRule Rule) override;
   void primeAccess(OpId Op, LocId Loc, AccessKind Kind) override;

@@ -7,8 +7,6 @@
 
 using namespace wr::obs;
 
-Reporter::~Reporter() = default;
-
 Json wr::obs::makeReportEnvelope(const std::string &Kind,
                                  const std::string &Name) {
   Json J = Json::object();

@@ -8,7 +8,7 @@
 /// The machine-readable reporting API. Every producer (a single session,
 /// the corpus runner, the static/dynamic cross-check, a replay, a bench)
 /// builds one obs::Json report tree under a shared versioned envelope and
-/// hands it to a Reporter backend:
+/// hands it to one of two backends:
 ///
 ///  * JsonReporter - byte-stable JSON (schema version 1), for --json
 ///    files, build artifacts, and cross-PR diffs.
@@ -39,20 +39,11 @@ inline constexpr int ReportSchemaVersion = 1;
 /// Starts a report tree: sets schema, tool, kind, and name members.
 Json makeReportEnvelope(const std::string &Kind, const std::string &Name);
 
-/// A sink for finished report trees.
-class Reporter {
-public:
-  virtual ~Reporter();
-
-  /// Emits one complete report.
-  virtual void emit(const Json &Report) = 0;
-};
-
 /// Renders the report as stable, pretty-printed JSON appended to \p Out.
-class JsonReporter final : public Reporter {
+class JsonReporter {
 public:
   explicit JsonReporter(std::string &Out) : Out(Out) {}
-  void emit(const Json &Report) override;
+  void emit(const Json &Report);
 
 private:
   std::string &Out;
@@ -61,10 +52,10 @@ private:
 /// Renders the report as indented "key: value" text appended to \p Out.
 /// Scalar arrays render inline; object arrays render as "- " blocks. The
 /// envelope members (schema/tool) are skipped - they are for machines.
-class TextReporter final : public Reporter {
+class TextReporter {
 public:
   explicit TextReporter(std::string &Out) : Out(Out) {}
-  void emit(const Json &Report) override;
+  void emit(const Json &Report);
 
 private:
   std::string &Out;

@@ -2,6 +2,8 @@
 
 #include "obs/RunStats.h"
 
+#include <algorithm>
+
 using namespace wr::obs;
 
 Json RaceCounts::toJson() const {
@@ -173,89 +175,29 @@ Json RunStats::toJson() const {
   return J;
 }
 
-void RunStats::exportTo(MetricsRegistry &Registry,
-                        const std::string &Prefix) const {
-  auto C = [&](const char *Name, uint64_t Value) {
-    Registry.counter(Prefix + "." + Name).inc(Value);
-  };
-  C("operations", Operations);
-  C("hb_edges", HbEdges);
-  for (const NamedCount &R : HbEdgesByRule)
-    Registry.counter(Prefix + ".hb_edges_by_rule." + R.Name).inc(R.Count);
-  C("chc_queries", ChcQueries);
-  C("vc_chains", VcChains);
-  C("clock_bytes", ClockBytes);
-  C("clock_merges", ClockMerges);
-  C("shared_clocks", SharedClocks);
-  C("accesses", AccessesSeen);
-  C("tracked_locations", TrackedLocations);
-  C("interned_locations", InternedLocations);
-  C("intern_hits", InternHits);
-  C("epoch_hits", EpochHits);
-  C("wr_epochs.reads", ReadsSeen);
-  C("wr_epochs.epoch_reads", EpochReads);
-  C("wr_epochs.read_inflations", ReadInflations);
-  C("wr_epochs.read_deflations", ReadDeflations);
-  C("wr_epochs.read_vector_locations", ReadVectorLocations);
-  C("wr_epochs.detector_bytes", DetectorBytes);
-  if (Sampling.enabled()) {
-    C("wr_sampling.rate_ppm", Sampling.RatePpm);
-    C("wr_sampling.seen.reads", Sampling.SeenReads);
-    C("wr_sampling.seen.writes", Sampling.SeenWrites);
-    C("wr_sampling.seen.total", Sampling.SeenReads + Sampling.SeenWrites);
-    C("wr_sampling.sampled.reads", Sampling.SampledReads);
-    C("wr_sampling.sampled.writes", Sampling.SampledWrites);
-    C("wr_sampling.sampled.total",
-      Sampling.SampledReads + Sampling.SampledWrites);
-    C("wr_sampling.dropped.reads", Sampling.DroppedReads);
-    C("wr_sampling.dropped.writes", Sampling.DroppedWrites);
-    C("wr_sampling.dropped.total",
-      Sampling.DroppedReads + Sampling.DroppedWrites);
+namespace {
+
+/// Appends every numeric leaf under \p J as (dotted path, value).
+void appendNumericLeaves(const Json &J, const std::string &Path,
+                         std::vector<std::pair<std::string, uint64_t>> &Out) {
+  if (J.isObject()) {
+    for (const auto &[Key, Child] : J.members())
+      appendNumericLeaves(Child, Path.empty() ? Key : Path + "." + Key, Out);
+  } else if (J.kind() == Json::Kind::Uint || J.kind() == Json::Kind::Int) {
+    Out.emplace_back(Path, J.asUint());
   }
-  C("races_raw.total", Raw.total());
-  C("races_raw.variable", Raw.Variable);
-  C("races_raw.html", Raw.Html);
-  C("races_raw.function", Raw.Function);
-  C("races_raw.event_dispatch", Raw.EventDispatch);
-  C("races_filtered.total", Filtered.total());
-  C("races_filtered.variable", Filtered.Variable);
-  C("races_filtered.html", Filtered.Html);
-  C("races_filtered.function", Filtered.Function);
-  C("races_filtered.event_dispatch", Filtered.EventDispatch);
-  C("filter_attrition.input", Attrition.Input);
-  C("filter_attrition.not_form_field", Attrition.NotFormField);
-  C("filter_attrition.prior_read_guard", Attrition.PriorReadGuard);
-  C("filter_attrition.multi_dispatch", Attrition.MultiDispatch);
-  if (Attrition.Suppressed)
-    C("filter_attrition.suppressed", Attrition.Suppressed);
-  C("filter_attrition.kept", Attrition.Kept);
-  for (const PredictionRow &Row : Prediction) {
-    std::string Base = Prefix + ".wr_prediction." + Row.Engine;
-    Registry.counter(Base + ".pairs_checked").inc(Row.PairsChecked);
-    Registry.counter(Base + ".dropped_edges").inc(Row.DroppedEdges);
-    Registry.counter(Base + ".candidates").inc(Row.Candidates);
-    Registry.counter(Base + ".observed_matched").inc(Row.Observed);
-    Registry.counter(Base + ".predicted.html").inc(Row.Predicted.Html);
-    Registry.counter(Base + ".predicted.function").inc(Row.Predicted.Function);
-    Registry.counter(Base + ".predicted.variable").inc(Row.Predicted.Variable);
-    Registry.counter(Base + ".predicted.event_dispatch")
-        .inc(Row.Predicted.EventDispatch);
-    Registry.counter(Base + ".predicted.total").inc(Row.Predicted.total());
-  }
-  C("tasks", TasksRun);
-  C("virtual_time_us", VirtualTimeUs);
-  C("crashes", Crashes);
-  C("alerts", Alerts);
-  C("parse_errors", ParseErrors);
-  C("explore.events_dispatched", EventsDispatched);
-  C("explore.links_clicked", LinksClicked);
-  C("explore.boxes_typed", BoxesTyped);
+}
+
+} // namespace
+
+std::vector<std::pair<std::string, uint64_t>> RunStats::metrics() const {
+  std::vector<std::pair<std::string, uint64_t>> Out;
+  appendNumericLeaves(toJson(), "", Out);
   for (size_t I = 0; I < NumPhases; ++I) {
     Phase P = static_cast<Phase>(I);
-    const PhaseStat &S = Phases[P];
-    std::string Base = Prefix + ".phases." + toString(P);
-    Registry.counter(Base + ".virtual_us").inc(S.VirtualUs);
-    Registry.counter(Base + ".entries").inc(S.Entries);
-    Registry.counter(Base + ".wall_ns").inc(S.WallNanos);
+    Out.emplace_back(std::string("phases.") + toString(P) + ".wall_ns",
+                     Phases[P].WallNanos);
   }
+  std::sort(Out.begin(), Out.end());
+  return Out;
 }

@@ -10,7 +10,10 @@
 /// filter attrition, detection overhead) as one mergeable value. This is
 /// what SessionResult carries instead of loose counters, what the corpus
 /// runner aggregates across sites, and what serializes into the stable
-/// "stats" JSON object of every report.
+/// "stats" JSON object of every report. That object is the one stats
+/// schema: the CLI's --metrics listing is its numeric leaves
+/// (RunStats::metrics), and tools/diff_baseline.py compares a corpus
+/// report's leaves.
 ///
 /// Everything in RunStats is deterministic for a fixed seed except the
 /// wall-clock portion of the phase timers, which toJson() therefore
@@ -22,11 +25,11 @@
 #define WEBRACER_OBS_RUNSTATS_H
 
 #include "obs/Json.h"
-#include "obs/Metrics.h"
 #include "obs/PhaseTimer.h"
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace wr::obs {
@@ -121,9 +124,9 @@ struct NamedCount {
   bool operator==(const NamedCount &O) const = default;
 };
 
-/// Predicted-vs-observed race deltas of one partial-order engine's pass
-/// over a recorded trace (detect/Prediction.h). Engine is the engine's
-/// CLI spelling so obs stays independent of the hb layer's enum.
+/// Predicted-vs-observed race deltas of one predictive pass over a
+/// recorded trace (detect/Prediction.h). Engine is the order's report
+/// key (shb, wcp) so obs stays independent of the hb layer's enum.
 struct PredictionRow {
   std::string Engine;
   uint64_t PairsChecked = 0; ///< Conflicting pairs posed to the engine.
@@ -204,14 +207,14 @@ struct RunStats {
   /// as every site enumerates rules in enum order (they do).
   void merge(const RunStats &O);
 
-  /// The deterministic "stats" object of the report schema.
+  /// The deterministic "stats" object of the report schema: the one list
+  /// of report paths, their order and their presence rules.
   Json toJson() const;
 
-  /// Snapshots every field into \p Registry under "<Prefix>.": one
-  /// counter per numeric leaf of toJson(), named by its dotted path and
-  /// present under the same conditions, plus phases.<p>.wall_ns, which
-  /// toJson() leaves out.
-  void exportTo(MetricsRegistry &Registry, const std::string &Prefix) const;
+  /// The --metrics listing, derived from toJson(): every numeric leaf as
+  /// (dotted path, value), plus phases.<p>.wall_ns, which toJson() leaves
+  /// out, sorted by name.
+  std::vector<std::pair<std::string, uint64_t>> metrics() const;
 };
 
 } // namespace wr::obs

@@ -33,13 +33,6 @@ Value method(Interpreter &I, const char *Name, js::HostFn Fn) {
   return Value(I.heap().allocHostFunction(std::move(Fn), Name));
 }
 
-Element *elementOf(Browser &B, const Value &V) {
-  Object *O = V.objectOrNull();
-  if (!O)
-    return nullptr;
-  return dyn_cast<Element>(B.nodeFor(O));
-}
-
 Element *selfElement(Interpreter &, Object *Self) {
   Browser &B = browserOf(Self);
   return dyn_cast<Element>(B.nodeFor(Self));
@@ -1121,7 +1114,7 @@ void wr::rt::installBindings(Browser &B) {
     D->setOwnProperty(
         "getTime",
         Value(In.heap().allocHostFunction(
-            [](Interpreter &In2, Value ThisV, std::vector<Value> &) {
+            [](Interpreter &, Value ThisV, std::vector<Value> &) {
               Object *Self = ThisV.objectOrNull();
               const Value *Ms =
                   Self ? Self->findOwnProperty("__ms") : nullptr;

@@ -53,8 +53,8 @@ obs::Json wr::sites::buildCorpusReport(const std::string &Name,
 
   Doc.set("filtered_totals", Stats.filteredTotals().toJson());
 
-  // Static-analyzer cross-check, per guard class (ISSUE 6 precision
-  // accounting; diff_baseline.py tracks the headline counters).
+  // Static-analyzer cross-check, per guard class (the precision
+  // accounting; diff_baseline.py compares every leaf).
   Doc.set("static_precision", Stats.staticTotals().toJson());
 
   // Triage: corpus-wide dedup of the kept races by structural signature.

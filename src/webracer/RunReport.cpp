@@ -30,9 +30,9 @@ obs::Json wr::webracer::raceToJson(const detect::Race &R,
   return O;
 }
 
-obs::Json wr::webracer::predictionsToJson(
-    const std::vector<detect::PredictionResult> &Predictions,
-    const HbGraph &Hb) {
+static obs::Json
+predictionsToJson(const std::vector<detect::PredictionResult> &Predictions,
+                  const HbGraph &Hb) {
   obs::Json O = obs::Json::object();
   for (const detect::PredictionResult &P : Predictions) {
     obs::Json Arr = obs::Json::array();
@@ -43,6 +43,25 @@ obs::Json wr::webracer::predictionsToJson(
     }
     O.set(toString(P.Engine), std::move(Arr));
   }
+  return O;
+}
+
+obs::Json wr::webracer::racesToJson(
+    const std::vector<detect::Race> &Raw,
+    const std::vector<detect::Race> &Filtered,
+    const std::vector<detect::PredictionResult> &Predictions,
+    const HbGraph &Hb) {
+  auto List = [&](const std::vector<detect::Race> &Races) {
+    obs::Json Arr = obs::Json::array();
+    for (const detect::Race &Race : Races)
+      Arr.push(raceToJson(Race, Hb));
+    return Arr;
+  };
+  obs::Json O = obs::Json::object();
+  O.set("raw", List(Raw));
+  O.set("filtered", List(Filtered));
+  if (!Predictions.empty())
+    O.set("predicted", predictionsToJson(Predictions, Hb));
   return O;
 }
 
@@ -57,17 +76,7 @@ obs::Json wr::webracer::buildRunReport(const std::string &Name,
     Timing.set("phases_wall_ms", R.Stats.Phases.wallJson());
     Doc.set("timing", std::move(Timing));
   }
-  obs::Json Races = obs::Json::object();
-  obs::Json Raw = obs::Json::array();
-  for (const detect::Race &Race : R.RawRaces)
-    Raw.push(raceToJson(Race, Hb));
-  Races.set("raw", std::move(Raw));
-  obs::Json Filtered = obs::Json::array();
-  for (const detect::Race &Race : R.FilteredRaces)
-    Filtered.push(raceToJson(Race, Hb));
-  Races.set("filtered", std::move(Filtered));
-  if (!R.Predictions.empty())
-    Races.set("predicted", predictionsToJson(R.Predictions, Hb));
-  Doc.set("races", std::move(Races));
+  Doc.set("races",
+          racesToJson(R.RawRaces, R.FilteredRaces, R.Predictions, Hb));
   return Doc;
 }

@@ -28,13 +28,14 @@ namespace wr::webracer {
 /// One race as a JSON object (kind, location, both accesses, guard note).
 obs::Json raceToJson(const detect::Race &R, const HbGraph &Hb);
 
-/// The predictive passes' findings as one object keyed by engine name;
-/// each engine maps to its candidate races, tagged with the
-/// observed-vs-predicted verdict. Emitted under races."predicted" only
-/// when prediction ran, so non-predicting reports stay byte-identical.
-obs::Json predictionsToJson(
-    const std::vector<detect::PredictionResult> &Predictions,
-    const HbGraph &Hb);
+/// The "races" section of a run or replay report: the raw and filtered
+/// lists and, only when prediction ran (so non-predicting reports stay
+/// byte-identical), "predicted": one member per engine, each listing its
+/// candidate races tagged with the observed-vs-predicted verdict.
+obs::Json racesToJson(const std::vector<detect::Race> &Raw,
+                      const std::vector<detect::Race> &Filtered,
+                      const std::vector<detect::PredictionResult> &Predictions,
+                      const HbGraph &Hb);
 
 /// The full report document for one run. \p IncludeTiming adds the
 /// wall-clock section; leave it off when the report must be byte-stable

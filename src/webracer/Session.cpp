@@ -9,16 +9,15 @@ using namespace wr::webracer;
 
 Session::Session(SessionOptions Options) : Opts(Options) {
   B = std::make_unique<rt::Browser>(Opts.Browser);
-  // The live detector always runs under observed happens-before; a
-  // predictive engine adds passes (which need the recorded trace) in
-  // run().
+  // The live detector always runs under observed happens-before;
+  // prediction adds passes (which need the recorded trace) in run().
   if (Opts.ExpectedOperations)
     B->hb().reserveOperations(Opts.ExpectedOperations);
   D = std::make_unique<detect::RaceDetector>(B->hb(), B->interner(),
                                              Opts.Detector);
   D->setPhaseStats(&B->phaseStats());
   B->addSink(D.get());
-  if (Opts.RecordTrace || Opts.predictEffective()) {
+  if (Opts.RecordTrace || Opts.Predict) {
     Trace = std::make_unique<TraceLog>();
     B->addSink(Trace.get());
   }
@@ -78,13 +77,9 @@ SessionResult Session::run(const std::string &Url) {
   S.LinksClicked = Result.Explore.LinksClicked;
   S.BoxesTyped = Result.Explore.BoxesTyped;
 
-  if (Opts.predictEffective() && Trace) {
+  if (Opts.Predict) {
     obs::PhaseTimer Timer(&B->phaseStats(), obs::Phase::Detect);
-    for (EngineKind K : detect::enginesToPredict(Opts.Detector.Engine)) {
-      Result.Predictions.push_back(
-          detect::predictRaces(*Trace, K, Result.RawRaces));
-      S.Prediction.push_back(detect::toStatsRow(Result.Predictions.back()));
-    }
+    detect::predictAll(*Trace, Result.RawRaces, Result.Predictions, S);
   }
   S.Phases = B->phaseStats();
   return Result;

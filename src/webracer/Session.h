@@ -50,17 +50,10 @@ struct SessionOptions {
   explore::ExploreOptions Explore;
   /// Run automatic exploration after load (Sec. 5.2.2).
   bool AutoExplore = true;
-  /// Run the predictive passes (detect/Prediction.h) after the observed
-  /// run, even when Detector.Engine is an HB engine (then both SHB and
-  /// WCP run). Implies trace recording for the session's own use.
+  /// Run the SHB, then the WCP, predictive pass (detect/Prediction.h)
+  /// after the observed run. Implies trace recording for the session's
+  /// own use.
   bool Predict = false;
-
-  /// Prediction runs when asked for, or implied by a predictive engine
-  /// (the partial order itself lives in Detector.Engine).
-  bool predictEffective() const {
-    EngineKind K = Detector.Engine;
-    return Predict || K == EngineKind::Shb || K == EngineKind::Wcp;
-  }
   /// Optional suppression file (triage/Suppression.h); matched races are
   /// dropped from FilteredRaces after the Sec. 5.3 filters, counted in
   /// Stats.Attrition.Suppressed, and tallied per entry in

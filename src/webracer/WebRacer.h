@@ -25,9 +25,10 @@
 ///  * triage:: - stable race signatures, suppression files, and the
 ///    deduplicating batch-ingest mode over trace directories
 ///    (triage/*.h).
-///  * obs:: - the observability layer: metrics registry, phase timers,
-///    RunStats, and the schema-versioned report builders
-///    (obs/*.h, webracer/RunReport.h, sites/CorpusReport.h).
+///  * obs:: - the observability layer: phase timers, RunStats (the one
+///    stats schema, also the --metrics listing), and the
+///    schema-versioned report builders (obs/*.h, webracer/RunReport.h,
+///    sites/CorpusReport.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -44,7 +45,6 @@
 #include "explore/Explorer.h"
 #include "hb/HbGraph.h"
 #include "instr/TraceLog.h"
-#include "obs/Metrics.h"
 #include "obs/Reporter.h"
 #include "obs/RunStats.h"
 #include "runtime/Browser.h"

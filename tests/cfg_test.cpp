@@ -279,8 +279,9 @@ TEST(CfgTest, NotSwapsBranchTargetsNotEdgeCount) {
   // The edge condition is the atomic `a`, not the Unary.
   for (const CfgBlock &B : Neg.Blocks)
     for (const CfgEdge &E : B.Succs)
-      if (E.Cond)
+      if (E.Cond) {
         EXPECT_TRUE(js::isa<js::Ident>(E.Cond));
+      }
 }
 
 TEST(CfgTest, SwitchCaseTestsAreNotConditionEdges) {

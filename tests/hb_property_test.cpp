@@ -65,9 +65,10 @@ TEST_P(HbPropertyTest, StrictPartialOrder) {
         Sampler.nextInRange(A + 1, 99));
     OpId C = static_cast<OpId>(
         Sampler.nextInRange(B + 1, 100));
-    if (G.happensBefore(A, B) && G.happensBefore(B, C))
+    if (G.happensBefore(A, B) && G.happensBefore(B, C)) {
       EXPECT_TRUE(G.happensBefore(A, C))
           << A << "->" << B << "->" << C;
+    }
   }
 }
 

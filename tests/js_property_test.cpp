@@ -68,11 +68,12 @@ TEST_P(JsArithmeticProperty, MatchesNativeDoubles) {
                                       SB.c_str()))
                          .asNumber(),
                      A - B);
-    if (B != 0)
+    if (B != 0) {
       EXPECT_DOUBLE_EQ(E.eval(strFormat("(%s) / (%s)", SA.c_str(),
                                         SB.c_str()))
                            .asNumber(),
                        A / B);
+    }
     EXPECT_EQ(E.eval(strFormat("(%s) < (%s)", SA.c_str(), SB.c_str()))
                   .asBool(),
               A < B);

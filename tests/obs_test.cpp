@@ -1,14 +1,13 @@
 //===- tests/obs_test.cpp - Observability layer unit tests ------------------===//
 
 #include "obs/Json.h"
-#include "obs/Metrics.h"
 #include "obs/PhaseTimer.h"
 #include "obs/Reporter.h"
 #include "obs/RunStats.h"
 
 #include <gtest/gtest.h>
 
-#include <set>
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -79,44 +78,6 @@ TEST(JsonTest, Find) {
   EXPECT_EQ(O.find("present")->asUint(), 5u);
   EXPECT_EQ(O.find("absent"), nullptr);
   EXPECT_EQ(Json(1).find("x"), nullptr) << "non-objects have no members";
-}
-
-//===----------------------------------------------------------------------===//
-// Metrics
-//===----------------------------------------------------------------------===//
-
-TEST(MetricsTest, CounterAndGauge) {
-  MetricsRegistry Reg;
-  Counter &C = Reg.counter("ops");
-  C.inc();
-  C.inc(9);
-  EXPECT_EQ(C.value(), 10u);
-  EXPECT_EQ(&Reg.counter("ops"), &C) << "same name, same cell";
-  Reg.gauge("ratio").set(0.5);
-  EXPECT_EQ(Reg.gauge("ratio").value(), 0.5);
-  EXPECT_EQ(Reg.size(), 2u);
-}
-
-TEST(MetricsTest, HistogramBucketsAndSummary) {
-  Histogram H;
-  H.observe(0);
-  H.observe(1);
-  H.observe(2);
-  H.observe(1000);
-  EXPECT_EQ(H.count(), 4u);
-  EXPECT_EQ(H.sum(), 1003u);
-  EXPECT_EQ(H.min(), 0u);
-  EXPECT_EQ(H.max(), 1000u);
-  EXPECT_DOUBLE_EQ(H.mean(), 1003.0 / 4.0);
-  EXPECT_EQ(H.buckets()[0], 1u) << "bucket 0 counts zeros";
-}
-
-TEST(MetricsTest, TextDumpIsNameSorted) {
-  MetricsRegistry Reg;
-  Reg.counter("b");
-  Reg.counter("a");
-  std::string Text = Reg.toText();
-  EXPECT_LT(Text.find("a 0"), Text.find("b 0"));
 }
 
 //===----------------------------------------------------------------------===//
@@ -191,32 +152,133 @@ RunStats sampleStats(uint64_t Scale) {
   return S;
 }
 
+/// Every numeric leaf under \p J as dotted path -> value.
+std::map<std::string, uint64_t> numericLeaves(const Json &J,
+                                              const std::string &Path = "") {
+  std::map<std::string, uint64_t> Out;
+  if (J.isObject()) {
+    for (const auto &[Key, Child] : J.members())
+      for (const auto &Leaf :
+           numericLeaves(Child, Path.empty() ? Key : Path + "." + Key))
+        Out.insert(Leaf);
+  } else if (J.kind() == Json::Kind::Uint || J.kind() == Json::Kind::Int) {
+    Out.emplace(Path, J.asUint());
+  }
+  return Out;
+}
+
+/// A record with every field set to its own nonzero value, counted up
+/// from \p Base: both optional report groups and the suppression count
+/// present, two per-rule edge counts and both prediction rows.
+RunStats everyFieldStats(uint64_t Base) {
+  uint64_t Next = Base;
+  auto V = [&] { return ++Next; };
+  RunStats S;
+  S.Operations = V();
+  S.HbEdges = V();
+  S.HbEdgesByRule = {{"rule A", V()}, {"rule B", V()}};
+  S.ChcQueries = V();
+  S.VcChains = V();
+  S.ClockBytes = V();
+  S.ClockMerges = V();
+  S.SharedClocks = V();
+  S.AccessesSeen = V();
+  S.TrackedLocations = V();
+  S.InternedLocations = V();
+  S.InternHits = V();
+  S.EpochHits = V();
+  S.ReadsSeen = V();
+  S.EpochReads = V();
+  S.ReadInflations = V();
+  S.ReadDeflations = V();
+  S.ReadVectorLocations = V();
+  S.DetectorBytes = V();
+  S.Sampling.Enabled = true;
+  S.Sampling.RatePpm = V();
+  S.Sampling.SeenReads = V();
+  S.Sampling.SeenWrites = V();
+  S.Sampling.SampledReads = V();
+  S.Sampling.SampledWrites = V();
+  S.Sampling.DroppedReads = V();
+  S.Sampling.DroppedWrites = V();
+  for (RaceCounts *C : {&S.Raw, &S.Filtered}) {
+    C->Variable = V();
+    C->Html = V();
+    C->Function = V();
+    C->EventDispatch = V();
+  }
+  S.Attrition.Input = V();
+  S.Attrition.NotFormField = V();
+  S.Attrition.PriorReadGuard = V();
+  S.Attrition.MultiDispatch = V();
+  S.Attrition.Suppressed = V();
+  S.Attrition.Kept = V();
+  for (const char *Engine : {"shb", "wcp"}) {
+    PredictionRow Row;
+    Row.Engine = Engine;
+    Row.PairsChecked = V();
+    Row.DroppedEdges = V();
+    Row.Candidates = V();
+    Row.Observed = V();
+    Row.Predicted.Variable = V();
+    Row.Predicted.Html = V();
+    Row.Predicted.Function = V();
+    Row.Predicted.EventDispatch = V();
+    S.Prediction.push_back(Row);
+  }
+  S.TasksRun = V();
+  S.VirtualTimeUs = V();
+  S.Crashes = V();
+  S.Alerts = V();
+  S.ParseErrors = V();
+  S.EventsDispatched = V();
+  S.LinksClicked = V();
+  S.BoxesTyped = V();
+  for (size_t I = 0; I < NumPhases; ++I) {
+    S.Phases.addWall(static_cast<Phase>(I), V(), V());
+    S.Phases.addVirtual(static_cast<Phase>(I), V());
+  }
+  return S;
+}
+
 TEST(RunStatsTest, MergeSumsEveryField) {
-  RunStats A = sampleStats(1);
-  A.merge(sampleStats(2));
-  EXPECT_EQ(A.Operations, 30u);
-  EXPECT_EQ(A.HbEdges, 60u);
-  EXPECT_EQ(A.ChcQueries, 15u);
-  EXPECT_EQ(A.AccessesSeen, 21u);
-  EXPECT_EQ(A.TrackedLocations, 12u);
-  EXPECT_EQ(A.InternedLocations, 18u);
-  EXPECT_EQ(A.InternHits, 24u);
-  EXPECT_EQ(A.EpochHits, 27u);
-  EXPECT_EQ(A.ReadsSeen, 36u);
-  EXPECT_EQ(A.EpochReads, 39u);
-  EXPECT_EQ(A.ReadInflations, 42u);
-  EXPECT_EQ(A.ReadDeflations, 45u);
-  EXPECT_EQ(A.ReadVectorLocations, 48u);
-  EXPECT_EQ(A.DetectorBytes, 51u);
-  EXPECT_EQ(A.Raw.Variable, 3u);
-  EXPECT_EQ(A.Filtered.Html, 3u);
-  EXPECT_EQ(A.Attrition.Input, 3u);
-  EXPECT_EQ(A.Crashes, 3u);
-  EXPECT_EQ(A.Phases[Phase::Script].VirtualUs, 33u);
-  ASSERT_EQ(A.HbEdgesByRule.size(), 2u);
-  EXPECT_EQ(A.HbEdgesByRule[0].Name, "rule A");
-  EXPECT_EQ(A.HbEdgesByRule[0].Count, 6u);
-  EXPECT_EQ(A.HbEdgesByRule[1].Count, 9u);
+  RunStats A = everyFieldStats(1000);
+  RunStats B = everyFieldStats(2000);
+  RunStats Merged = A;
+  Merged.merge(B);
+
+  // Held to the report tree, not to a field list: a field merge() skips
+  // shows as a leaf that is not the sum of the inputs' leaves.
+  std::map<std::string, uint64_t> LeavesA = numericLeaves(A.toJson());
+  std::map<std::string, uint64_t> LeavesB = numericLeaves(B.toJson());
+  std::map<std::string, uint64_t> LeavesMerged =
+      numericLeaves(Merged.toJson());
+  // A leaf everyFieldStats leaves at zero would sum to zero whether or
+  // not merge() covers it.
+  for (const auto &[Path, Value] : LeavesA)
+    EXPECT_NE(Value, 0u) << Path << " is unset in everyFieldStats";
+  ASSERT_EQ(LeavesB.size(), LeavesA.size());
+  ASSERT_EQ(LeavesMerged.size(), LeavesA.size());
+  for (const auto &[Path, Value] : LeavesMerged) {
+    // Corpus sites share one sampling configuration: the rate is
+    // adopted from the first sampled record, not summed.
+    uint64_t Want = Path == "wr_sampling.rate_ppm"
+                        ? LeavesA.at(Path)
+                        : LeavesA.at(Path) + LeavesB.at(Path);
+    EXPECT_EQ(Value, Want) << Path;
+  }
+  // toJson() leaves wall time out; the phase merge sums it all the same.
+  for (size_t I = 0; I < NumPhases; ++I) {
+    Phase P = static_cast<Phase>(I);
+    EXPECT_EQ(Merged.Phases[P].WallNanos,
+              A.Phases[P].WallNanos + B.Phases[P].WallNanos)
+        << toString(P);
+  }
+
+  // Merging into an empty record adopts everything, the rate included.
+  RunStats Empty;
+  Empty.merge(A);
+  EXPECT_EQ(writeJson(Empty.toJson()), writeJson(A.toJson()));
 }
 
 TEST(RunStatsTest, MergeByRuleNameHandlesDisjointSets) {
@@ -248,107 +310,58 @@ TEST(RunStatsTest, JsonIsDeterministicAndWallFree) {
   EXPECT_NE(Doc.find("\"rule A\":6"), std::string::npos);
 }
 
-/// Appends to \p Out every numeric leaf under \p J as (dotted path,
-/// value).
-void numericLeaves(const Json &J, const std::string &Path,
-                   std::vector<std::pair<std::string, uint64_t>> &Out) {
-  if (J.isObject()) {
-    for (const auto &[Key, Child] : J.members())
-      numericLeaves(Child, Path + "." + Key, Out);
-  } else if (J.kind() == Json::Kind::Uint || J.kind() == Json::Kind::Int) {
-    Out.emplace_back(Path, J.asUint());
+/// Checks that \p S lists exactly its report: every numeric leaf of
+/// toJson() with an equal value under the same dotted name, plus
+/// phases.<p>.wall_ns, which reports leave out on purpose - and nothing
+/// else, in name order.
+void expectMetricsMatchReport(const RunStats &S) {
+  std::map<std::string, uint64_t> Leaves = numericLeaves(S.toJson());
+  for (size_t I = 0; I < NumPhases; ++I) {
+    Phase P = static_cast<Phase>(I);
+    Leaves.emplace(std::string("phases.") + toString(P) + ".wall_ns",
+                   S.Phases[P].WallNanos);
   }
+  // std::map iterates in name order, so this also checks the order.
+  std::vector<std::pair<std::string, uint64_t>> Want(Leaves.begin(),
+                                                     Leaves.end());
+  EXPECT_EQ(S.metrics(), Want);
 }
 
-/// Checks that \p S exports exactly its report: every numeric leaf of
-/// toJson() has an equal-valued counter of the same dotted name, and
-/// every counter is such a leaf - except phases.<p>.wall_ns, which
-/// reports leave out on purpose.
-void expectExportMatchesReport(const RunStats &S) {
-  MetricsRegistry Reg;
-  S.exportTo(Reg, "wr");
-  std::vector<std::pair<std::string, uint64_t>> Leaves;
-  numericLeaves(S.toJson(), "wr", Leaves);
-  Json Exported = Reg.toJson();
-  const Json *Counters = Exported.find("counters");
-  ASSERT_NE(Counters, nullptr);
-  std::set<std::string> LeafNames;
-  for (const auto &[Name, Value] : Leaves) {
-    LeafNames.insert(Name);
-    const Json *Counter = Counters->find(Name);
-    ASSERT_NE(Counter, nullptr) << Name << " is not exported";
-    EXPECT_EQ(Counter->asUint(), Value) << Name;
-  }
-  for (const auto &[Name, Value] : Counters->members()) {
-    bool WallNs = Name.starts_with("wr.phases.") && Name.ends_with(".wall_ns");
-    EXPECT_TRUE(WallNs || LeafNames.count(Name))
-        << Name << " is exported but not in the report";
-  }
+/// The listed value of \p Name, or ~0 when it is not listed.
+uint64_t listed(const RunStats &S, const std::string &Name) {
+  for (const auto &[Metric, Value] : S.metrics())
+    if (Metric == Name)
+      return Value;
+  return ~static_cast<uint64_t>(0);
 }
 
 TEST(RunStatsTest, ExportToRegistry) {
   RunStats S = sampleStats(2);
   // Without sampling, suppressions or prediction the optional report
-  // groups are absent, and so are their counters.
-  expectExportMatchesReport(S);
+  // groups are absent, and so are their metrics.
+  expectMetricsMatchReport(S);
+  EXPECT_EQ(listed(S, "filter_attrition.suppressed"),
+            ~static_cast<uint64_t>(0));
 
-  // Distinct values everywhere, so a counter exported under the wrong
-  // name or from the wrong field shows.
-  S.VcChains = 21;
-  S.ClockBytes = 22;
-  S.ClockMerges = 23;
-  S.SharedClocks = 24;
-  S.Raw.Html = 25;
-  S.Raw.Function = 26;
-  S.Raw.EventDispatch = 27;
-  S.Filtered.Variable = 28;
-  S.Filtered.Function = 29;
-  S.Filtered.EventDispatch = 30;
-  S.Attrition.NotFormField = 31;
-  S.Attrition.PriorReadGuard = 32;
-  S.Attrition.MultiDispatch = 33;
-  S.Attrition.Suppressed = 34;
-  S.TasksRun = 35;
-  S.VirtualTimeUs = 36;
-  S.Alerts = 37;
-  S.ParseErrors = 38;
-  S.EventsDispatched = 39;
-  S.LinksClicked = 40;
-  S.BoxesTyped = 41;
-  S.Phases.addVirtual(Phase::Detect, 42);
-  S.Sampling.Enabled = true;
-  S.Sampling.RatePpm = 500000;
-  S.Sampling.SeenReads = 50;
-  S.Sampling.SeenWrites = 51;
-  S.Sampling.SampledReads = 52;
-  S.Sampling.SampledWrites = 53;
-  S.Sampling.DroppedReads = 54;
-  S.Sampling.DroppedWrites = 55;
-  for (uint64_t I = 0; I < 2; ++I) {
-    PredictionRow Row;
-    Row.Engine = I == 0 ? "shb" : "wcp";
-    Row.PairsChecked = 100 + I;
-    Row.DroppedEdges = 200 + I;
-    Row.Candidates = 300 + I;
-    Row.Observed = 400 + I;
-    Row.Predicted.Html = 10 + I;
-    Row.Predicted.Function = 20 + I;
-    Row.Predicted.Variable = 30 + I;
-    Row.Predicted.EventDispatch = 40 + I;
-    S.Prediction.push_back(Row);
-  }
-  expectExportMatchesReport(S);
-
-  MetricsRegistry Reg;
-  S.exportTo(Reg, "wr");
-  EXPECT_EQ(Reg.counter("wr.operations").value(), 20u);
-  EXPECT_EQ(Reg.counter("wr.races_raw.variable").value(), 2u);
-  EXPECT_EQ(Reg.counter("wr.interned_locations").value(), 12u);
-  EXPECT_EQ(Reg.counter("wr.intern_hits").value(), 16u);
-  EXPECT_EQ(Reg.counter("wr.epoch_hits").value(), 18u);
-  EXPECT_EQ(Reg.counter("wr.filter_attrition.suppressed").value(), 34u);
-  EXPECT_EQ(Reg.counter("wr.wr_sampling.dropped.total").value(), 109u);
-  EXPECT_EQ(Reg.counter("wr.phases.script.virtual_us").value(), 22u);
+  // Every optional group present, with distinct values everywhere, so a
+  // metric listed under the wrong name or from the wrong field shows.
+  S = everyFieldStats(0);
+  expectMetricsMatchReport(S);
+  EXPECT_EQ(listed(S, "operations"), S.Operations);
+  EXPECT_EQ(listed(S, "races_raw.variable"), S.Raw.Variable);
+  EXPECT_EQ(listed(S, "interned_locations"), S.InternedLocations);
+  EXPECT_EQ(listed(S, "intern_hits"), S.InternHits);
+  EXPECT_EQ(listed(S, "epoch_hits"), S.EpochHits);
+  EXPECT_EQ(listed(S, "filter_attrition.suppressed"), S.Attrition.Suppressed);
+  EXPECT_EQ(listed(S, "wr_sampling.dropped.total"),
+            S.Sampling.DroppedReads + S.Sampling.DroppedWrites);
+  EXPECT_EQ(listed(S, "wr_prediction.wcp.predicted.total"),
+            S.Prediction[1].Predicted.total());
+  EXPECT_EQ(listed(S, "hb_edges_by_rule.rule B"), S.HbEdgesByRule[1].Count);
+  EXPECT_EQ(listed(S, "phases.script.virtual_us"),
+            S.Phases[Phase::Script].VirtualUs);
+  EXPECT_EQ(listed(S, "phases.detect.wall_ns"),
+            S.Phases[Phase::Detect].WallNanos);
 }
 
 //===----------------------------------------------------------------------===//

@@ -44,8 +44,8 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdio>
-#include <memory>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -63,9 +63,11 @@ namespace dense {
 /// chain packing, a full watermark vector per operation, finalized lazily
 /// in id order, and a copied clock per written location. Only the
 /// instrumentation is new: denseBytes(), and the own-chain join count.
-class PredictiveEngine : public PartialOrderEngine {
+class PredictiveEngine {
 public:
-  Ordering ordering(OpId A, OpId B) const override {
+  virtual ~PredictiveEngine() = default;
+
+  Ordering ordering(OpId A, OpId B) const {
     assert(A != InvalidOpId && B != InvalidOpId && A != B &&
            "ordering() requires two distinct valid operations");
     finalizeThrough(std::max(A, B));
@@ -78,7 +80,7 @@ public:
     return Ordering::Concurrent;
   }
 
-  void onOperationCreated(OpId Op, const Operation &Meta) override {
+  virtual void onOperationCreated(OpId Op, const Operation &Meta) {
     (void)Op;
     (void)Meta;
     assert(Op == Clocks.size() + 1 && "operations must arrive in id order");
@@ -86,7 +88,7 @@ public:
     Preds.emplace_back();
   }
 
-  void onHbEdge(OpId From, OpId To, HbRule Rule) override {
+  virtual void onHbEdge(OpId From, OpId To, HbRule Rule) {
     assert(From != InvalidOpId && To != InvalidOpId && From < To &&
            "HB edges must point from an older to a newer operation");
     assert(To <= Clocks.size() && "edge targets an unknown operation");
@@ -100,7 +102,7 @@ public:
       In.push_back(From);
   }
 
-  void onMemoryAccess(const Access &A) override {
+  void onMemoryAccess(const Access &A) {
     assert(A.Op != InvalidOpId && "access without an operation");
     finalizeThrough(A.Op);
     OpClock &C = Clocks[A.Op - 1];
@@ -115,6 +117,12 @@ public:
       return;
     }
     LastWriteClock[A.Loc] = C.Clock;
+  }
+
+  virtual void primeAccess(OpId Op, LocId Loc, AccessKind Kind) {
+    (void)Op;
+    (void)Loc;
+    (void)Kind;
   }
 
   size_t numChains() const { return ChainTails.size(); }
@@ -198,15 +206,10 @@ private:
   uint64_t OwnChainJoins = 0;
 };
 
-class ShbEngine final : public PredictiveEngine {
-public:
-  EngineKind kind() const override { return EngineKind::Shb; }
-};
+class ShbEngine final : public PredictiveEngine {};
 
 class WcpEngine final : public PredictiveEngine {
 public:
-  EngineKind kind() const override { return EngineKind::Wcp; }
-
   void onOperationCreated(OpId Op, const Operation &Meta) override {
     PredictiveEngine::onOperationCreated(Op, Meta);
     IntervalCb.push_back(Meta.Kind == OperationKind::IntervalCallback);
@@ -277,26 +280,21 @@ private:
 // The comparison
 //===----------------------------------------------------------------------===//
 
-const EngineKind Engines[] = {EngineKind::Hb, EngineKind::Shb,
-                              EngineKind::Wcp};
-
-/// The hb engine under test: an HbGraph built from the streamed events.
-class GraphEngine final : public PartialOrderEngine {
+/// The hb order under test: an HbGraph built from the streamed events,
+/// with the engines' query and stream surface.
+class GraphEngine {
 public:
-  EngineKind kind() const override { return EngineKind::Hb; }
-  Ordering ordering(OpId A, OpId B) const override {
-    return G.ordering(A, B);
-  }
-  void onOperationCreated(OpId Op, const Operation &Meta) override {
+  Ordering ordering(OpId A, OpId B) const { return G.ordering(A, B); }
+  void onOperationCreated(OpId Op, const Operation &Meta) {
     OpId Id = G.addOperation(Meta);
     (void)Id;
     (void)Op;
     assert(Id == Op && "operations must arrive in id order");
   }
-  void onHbEdge(OpId From, OpId To, HbRule Rule) override {
-    G.addEdge(From, To, Rule);
-  }
+  void onHbEdge(OpId From, OpId To, HbRule Rule) { G.addEdge(From, To, Rule); }
+  size_t numChains() const { return G.numChains(); }
 
+private:
   HbGraph G;
 };
 
@@ -313,8 +311,9 @@ struct Tally {
 
 /// ordering() in both directions between \p X and every operation in
 /// [1, \p Last].
-::testing::AssertionResult sameVerdicts(const PartialOrderEngine &Got,
-                                        const PartialOrderEngine &Want,
+template <class Engine>
+::testing::AssertionResult sameVerdicts(const Engine &Got,
+                                        const dense::PredictiveEngine &Want,
                                         OpId X, OpId Last, Tally &T) {
   for (OpId P = 1; P <= Last; ++P) {
     if (P == X)
@@ -332,76 +331,84 @@ struct Tally {
   return ::testing::AssertionSuccess();
 }
 
-/// Streams \p Log into the engine under \p Engine and its reference and
-/// compares every verdict (see the file comment).
-void expectSameVerdicts(const TraceLog &Log, EngineKind Engine,
-                        const std::string &Label, Tally &T) {
-  SCOPED_TRACE(Label + " under " + toString(Engine));
-  std::unique_ptr<PartialOrderEngine> Got;
-  std::unique_ptr<dense::PredictiveEngine> Want;
-  if (Engine == EngineKind::Wcp) {
-    Got = std::make_unique<WcpEngine>();
-    Want = std::make_unique<dense::WcpEngine>();
-  } else {
-    Got = Engine == EngineKind::Hb
-              ? std::unique_ptr<PartialOrderEngine>(
-                    std::make_unique<GraphEngine>())
-              : std::make_unique<ShbEngine>();
-    Want = std::make_unique<dense::ShbEngine>();
-  }
-  bool Predictive = Engine != EngineKind::Hb;
-  if (Engine == EngineKind::Wcp)
+/// Streams \p Log into \p Got and its reference \p Want and compares
+/// every verdict (see the file comment).
+template <class Engine>
+void compareVerdicts(const TraceLog &Log, Engine &Got,
+                     dense::PredictiveEngine &Want, Tally &T) {
+  constexpr bool Predictive = std::is_base_of_v<PredictiveEngine, Engine>;
+  if constexpr (Predictive)
     for (const TraceEvent &E : Log.events())
       if (E.K == TraceEvent::Kind::MemAccess) {
-        Got->primeAccess(E.Mem.Op, E.Mem.Loc, E.Mem.Kind);
-        Want->primeAccess(E.Mem.Op, E.Mem.Loc, E.Mem.Kind);
+        Got.primeAccess(E.Mem.Op, E.Mem.Loc, E.Mem.Kind);
+        Want.primeAccess(E.Mem.Op, E.Mem.Loc, E.Mem.Kind);
       }
 
   OpId Created = 0;
   for (const TraceEvent &E : Log.events()) {
     switch (E.K) {
     case TraceEvent::Kind::OpCreated:
-      Got->onOperationCreated(E.Op, E.Meta);
-      Want->onOperationCreated(E.Op, E.Meta);
+      Got.onOperationCreated(E.Op, E.Meta);
+      Want.onOperationCreated(E.Op, E.Meta);
       Created = E.Op;
       break;
     case TraceEvent::Kind::HbEdge:
       // Comparing against every created operation builds its clock, so
       // the trace must only ever add edges to the newest one.
       ASSERT_EQ(E.Op2, Created) << "edge into an older operation";
-      Got->onHbEdge(E.Op, E.Op2, E.Rule);
-      Want->onHbEdge(E.Op, E.Op2, E.Rule);
+      Got.onHbEdge(E.Op, E.Op2, E.Rule);
+      Want.onHbEdge(E.Op, E.Op2, E.Rule);
       break;
     case TraceEvent::Kind::MemAccess:
-      ASSERT_TRUE(sameVerdicts(*Got, *Want, E.Mem.Op, Created, T))
+      ASSERT_TRUE(sameVerdicts(Got, Want, E.Mem.Op, Created, T))
           << " before access '" << E.Mem.Detail << "' of op " << E.Mem.Op;
-      if (!Predictive)
-        break; // HB has no write-read edges.
-      Got->onMemoryAccess(E.Mem);
-      Want->onMemoryAccess(E.Mem);
-      ASSERT_TRUE(sameVerdicts(*Got, *Want, E.Mem.Op, Created, T))
-          << " after access '" << E.Mem.Detail << "' of op " << E.Mem.Op;
+      if constexpr (Predictive) { // HB has no write-read edges.
+        Got.onMemoryAccess(E.Mem);
+        Want.onMemoryAccess(E.Mem);
+        ASSERT_TRUE(sameVerdicts(Got, Want, E.Mem.Op, Created, T))
+            << " after access '" << E.Mem.Detail << "' of op " << E.Mem.Op;
+      }
       break;
     default:
       break;
     }
   }
   for (OpId X = 1; X <= Created; ++X)
-    ASSERT_TRUE(sameVerdicts(*Got, *Want, X, X - 1, T)) << " at the end";
+    ASSERT_TRUE(sameVerdicts(Got, Want, X, X - 1, T)) << " at the end";
 
-  EXPECT_EQ(Want->droppedEdges(),
-            Predictive ? static_cast<PredictiveEngine &>(*Got).droppedEdges()
-                       : 0u);
-  size_t Chains = Predictive
-                      ? static_cast<PredictiveEngine &>(*Got).numChains()
-                      : static_cast<GraphEngine &>(*Got).G.numChains();
-  EXPECT_EQ(Chains, Want->numChains());
-  if (!Predictive)
-    return;
-  T.OwnChainJoins += Want->ownChainJoins();
-  T.TracesWithOwnChainJoins += Want->ownChainJoins() != 0;
-  T.IndexBytes += static_cast<PredictiveEngine &>(*Got).clockBytes();
-  T.DenseBytes += Want->denseBytes();
+  EXPECT_EQ(Got.numChains(), Want.numChains());
+  if constexpr (!Predictive) {
+    EXPECT_EQ(Want.droppedEdges(), 0u);
+  } else {
+    EXPECT_EQ(Got.droppedEdges(), Want.droppedEdges());
+    T.OwnChainJoins += Want.ownChainJoins();
+    T.TracesWithOwnChainJoins += Want.ownChainJoins() != 0;
+    T.IndexBytes += Got.clockBytes();
+    T.DenseBytes += Want.denseBytes();
+  }
+}
+
+/// Compares the three orders over \p Log with their references: HbGraph
+/// with the SHB reference given every edge and no access, and each
+/// predictive engine with its own.
+void expectSameVerdicts(const TraceLog &Log, const std::string &Label,
+                        Tally &Hb, Tally &Shb, Tally &Wcp) {
+  {
+    SCOPED_TRACE(Label + " under hb");
+    GraphEngine Got;
+    dense::ShbEngine Want;
+    compareVerdicts(Log, Got, Want, Hb);
+  }
+  {
+    SCOPED_TRACE(Label + " under shb");
+    ShbEngine Got;
+    dense::ShbEngine Want;
+    compareVerdicts(Log, Got, Want, Shb);
+  }
+  SCOPED_TRACE(Label + " under wcp");
+  WcpEngine Got;
+  dense::WcpEngine Want;
+  compareVerdicts(Log, Got, Want, Wcp);
 }
 
 //===----------------------------------------------------------------------===//
@@ -425,9 +432,7 @@ TEST(OrderingVerdictTest, RecordedCorpusSitesMatchDenseClocks) {
                                         R.MaxLatencyUs);
     S.run(Site.IndexUrl);
     ASSERT_NE(S.trace(), nullptr);
-    expectSameVerdicts(*S.trace(), EngineKind::Hb, Site.Name, Hb);
-    expectSameVerdicts(*S.trace(), EngineKind::Shb, Site.Name, Shb);
-    expectSameVerdicts(*S.trace(), EngineKind::Wcp, Site.Name, Wcp);
+    expectSameVerdicts(*S.trace(), Site.Name, Hb, Shb, Wcp);
   }
   EXPECT_GT(Hb.Queries, 100000u);
   EXPECT_GT(Shb.Queries, 100000u);
@@ -453,8 +458,7 @@ TEST(OrderingVerdictTest, FigurePagesMatchDenseClocks) {
       S.network().addResource(R.Url, R.Content, R.LatencyUs);
     S.run(Page.EntryUrl);
     ASSERT_NE(S.trace(), nullptr);
-    for (EngineKind Engine : Engines)
-      expectSameVerdicts(*S.trace(), Engine, Page.Name, T);
+    expectSameVerdicts(*S.trace(), Page.Name, T, T, T);
   }
   EXPECT_GT(T.Queries, 0u);
 }
@@ -463,9 +467,7 @@ TEST(OrderingVerdictTest, RandomTracesMatchDenseClocksWithOwnChainJoins) {
   Tally T;
   for (uint64_t Seed = 1; Seed <= 150; ++Seed) {
     test::RandomTrace Trace(Seed);
-    for (EngineKind Engine : Engines)
-      expectSameVerdicts(Trace.log(), Engine, "seed " + std::to_string(Seed),
-                         T);
+    expectSameVerdicts(Trace.log(), "seed " + std::to_string(Seed), T, T, T);
   }
   std::printf("random traces: %llu own-chain joins in %llu engine runs; "
               "%llu verdict pairs Before both ways\n",

@@ -10,7 +10,7 @@
 // full-history pass it replaced as the reference and checks the two
 // produce identical results - every PredictedRace field (Detail strings,
 // the form-filter flag, the verdict) in the same order, plus PairsChecked
-// and DroppedEdges - under the hb, shb and wcp orders, over:
+// and DroppedEdges - under the shb and wcp orders, over:
 //
 //  * recorded seed-2012 corpus sites;
 //  * the figure pages and the false-positive page;
@@ -84,17 +84,12 @@ PredictionResult referencePredictRaces(const TraceLog &Log, EngineKind Engine,
   PredictionResult Result;
   Result.Engine = Engine;
 
-  HbGraph ObservedHb;
-  std::unique_ptr<PartialOrderEngine> Owned;
-  if (Engine == EngineKind::Hb) {
-    ObservedHb = buildHbGraphFromTrace(Log);
-    Owned = std::make_unique<HbEngine>(ObservedHb);
-  } else if (Engine == EngineKind::Shb) {
+  std::unique_ptr<PredictiveEngine> Owned;
+  if (Engine == EngineKind::Shb)
     Owned = std::make_unique<ShbEngine>();
-  } else {
+  else
     Owned = std::make_unique<WcpEngine>();
-  }
-  PartialOrderEngine &PO = *Owned;
+  PredictiveEngine &PO = *Owned;
 
   if (Engine == EngineKind::Wcp)
     for (const TraceEvent &E : Log.events())
@@ -125,7 +120,7 @@ PredictionResult referencePredictRaces(const TraceLog &Log, EngineKind Engine,
         if (Prior.A.Op == A.Op || !OneIsWrite)
           continue;
         ++Result.PairsChecked;
-        if (!PO.concurrent(Prior.A.Op, A.Op))
+        if (PO.ordering(Prior.A.Op, A.Op) != Ordering::Concurrent)
           continue;
         PairKey Key{A.Loc, packPair(Prior.A.Op, A.Op)};
         if (!Seen.insert(Key).second)
@@ -160,8 +155,7 @@ PredictionResult referencePredictRaces(const TraceLog &Log, EngineKind Engine,
     }
   }
 
-  if (Engine == EngineKind::Shb || Engine == EngineKind::Wcp)
-    Result.DroppedEdges = static_cast<PredictiveEngine &>(PO).droppedEdges();
+  Result.DroppedEdges = PO.droppedEdges();
   return Result;
 }
 
@@ -169,8 +163,7 @@ PredictionResult referencePredictRaces(const TraceLog &Log, EngineKind Engine,
 // Comparison
 //===----------------------------------------------------------------------===//
 
-const EngineKind Engines[] = {EngineKind::Hb, EngineKind::Shb,
-                              EngineKind::Wcp};
+const EngineKind Engines[] = {EngineKind::Shb, EngineKind::Wcp};
 
 std::string describe(const Access &A) {
   return std::string(toString(A.Kind)) + "/" + toString(A.Origin) + " op " +

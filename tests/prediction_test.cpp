@@ -4,21 +4,20 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Covers the pluggable partial-order stack end to end:
+// Covers the predictive orders end to end:
 //
 //  * ShbEngine / WcpEngine unit tests over hand-fed event streams - the
 //    write-read join that orders a later-created operation before an
 //    earlier one, WCP's dispatch-atomicity edge dropping, and the
 //    creation-edge substitution that keeps every interval callback
 //    anchored to its registration.
-//  * Engine-selection plumbing: enginesToPredict and predictEffective()
-//    in ReplayOptions/SessionOptions.
 //  * Replay equivalence: a recorded session trace (round-tripped through
-//    the WRT2 encoding) replays to byte-identical observed races under
-//    every engine - prediction never perturbs observation.
-//  * Session-level gates over the seeded corpus patterns: SHB dominates
-//    the first-race-only observed run on PostFirstRaceBenign, and WCP's
-//    predictions are a strict superset of SHB's on IntervalSkipBenign.
+//    the WRT2 encoding) replays to byte-identical observed races with
+//    prediction off and on - prediction never perturbs observation.
+//  * Session-level gates over the seeded corpus patterns: Predict runs
+//    SHB then WCP, SHB dominates the first-race-only observed run on
+//    PostFirstRaceBenign, and WCP's predictions are a strict superset of
+//    SHB's on IntervalSkipBenign.
 //
 //===----------------------------------------------------------------------===//
 
@@ -52,7 +51,7 @@ Operation op(OperationKind Kind) {
   return O;
 }
 
-void addOps(PartialOrderEngine &E, std::initializer_list<OperationKind> Kinds) {
+void addOps(PredictiveEngine &E, std::initializer_list<OperationKind> Kinds) {
   OpId Id = 1;
   for (OperationKind K : Kinds)
     E.onOperationCreated(Id++, op(K));
@@ -79,8 +78,7 @@ TEST(ShbEngineTest, KeptEdgesOrderLikeHappensBefore) {
   // Sibling timeouts have no rule ordering them (rule 16 is creator ->
   // callback only); they are concurrent until a write-read edge appears.
   EXPECT_EQ(E.ordering(2, 3), Ordering::Concurrent);
-  EXPECT_TRUE(E.concurrent(2, 3));
-  EXPECT_TRUE(E.happensBefore(1, 3));
+  EXPECT_EQ(E.ordering(3, 1), Ordering::After);
   EXPECT_EQ(E.droppedEdges(), 0u);
 }
 
@@ -190,41 +188,6 @@ TEST(WcpEngineTest, OnlyDispatchRulesWeaken) {
 }
 
 //===----------------------------------------------------------------------===//
-// Engine-selection plumbing.
-//===----------------------------------------------------------------------===//
-
-TEST(EngineSelectionTest, EnginesToPredict) {
-  EXPECT_EQ(enginesToPredict(EngineKind::Hb),
-            (std::vector<EngineKind>{EngineKind::Shb, EngineKind::Wcp}));
-  EXPECT_EQ(enginesToPredict(EngineKind::Shb),
-            (std::vector<EngineKind>{EngineKind::Shb}));
-  EXPECT_EQ(enginesToPredict(EngineKind::Wcp),
-            (std::vector<EngineKind>{EngineKind::Wcp}));
-}
-
-TEST(EngineSelectionTest, EngineDrivesPredictionAndStrategy) {
-  // Detector.Engine is the single source of truth: predictive engines
-  // imply prediction, the HB engine predicts only when asked.
-  ReplayOptions R;
-  EXPECT_EQ(R.Detector.Engine, EngineKind::Hb);
-  EXPECT_FALSE(R.predictEffective());
-  R.Detector.Engine = EngineKind::Shb;
-  EXPECT_TRUE(R.predictEffective());
-  R.Detector.Engine = EngineKind::Hb;
-  R.Predict = true;
-  EXPECT_TRUE(R.predictEffective());
-
-  webracer::SessionOptions S;
-  EXPECT_EQ(S.Detector.Engine, EngineKind::Hb);
-  EXPECT_FALSE(S.predictEffective());
-  S.Detector.Engine = EngineKind::Wcp;
-  EXPECT_TRUE(S.predictEffective());
-  S.Detector.Engine = EngineKind::Hb;
-  S.Predict = true;
-  EXPECT_TRUE(S.predictEffective());
-}
-
-//===----------------------------------------------------------------------===//
 // Session-level gates over the seeded corpus patterns.
 //===----------------------------------------------------------------------===//
 
@@ -321,21 +284,29 @@ TEST(PredictionSessionTest, WcpStrictSupersetOfShbOnIntervalSkip) {
   EXPECT_GT(Wcp->DroppedEdges, 0u);
 }
 
-TEST(PredictionSessionTest, SelectingPredictiveEngineImpliesPrediction) {
+TEST(PredictionSessionTest, PredictRunsShbThenWcp) {
+  // Predict is the one prediction switch: it runs the SHB pass, then the
+  // WCP pass, each mirrored into the stats record that the report schema
+  // renders.
   webracer::SessionOptions Opts;
-  Opts.Detector.Engine = EngineKind::Shb;
+  Opts.Predict = true;
   webracer::SessionResult R =
       runPattern(sites::PatternKind::PostFirstRaceBenign, Opts);
-  // No --predict, but the engine choice implies the pass - and only for
-  // the selected engine.
-  ASSERT_EQ(R.Predictions.size(), 1u);
+  ASSERT_EQ(R.Predictions.size(), 2u);
   EXPECT_EQ(R.Predictions[0].Engine, EngineKind::Shb);
-  // Mirrored into the stats record that the report schema renders.
-  ASSERT_EQ(R.Stats.Prediction.size(), 1u);
+  EXPECT_EQ(R.Predictions[1].Engine, EngineKind::Wcp);
+  ASSERT_EQ(R.Stats.Prediction.size(), 2u);
+  EXPECT_EQ(R.Stats.Prediction[0].Engine, "shb");
+  EXPECT_EQ(R.Stats.Prediction[1].Engine, "wcp");
+
+  Opts.Predict = false;
+  R = runPattern(sites::PatternKind::PostFirstRaceBenign, Opts);
+  EXPECT_TRUE(R.Predictions.empty());
+  EXPECT_TRUE(R.Stats.Prediction.empty());
 }
 
 //===----------------------------------------------------------------------===//
-// Replay equivalence: observed races are engine-invariant.
+// Replay equivalence: prediction never changes the observed races.
 //===----------------------------------------------------------------------===//
 
 std::string racesJson(const std::vector<Race> &Races, const HbGraph &Hb) {
@@ -347,9 +318,9 @@ std::string racesJson(const std::vector<Race> &Races, const HbGraph &Hb) {
 
 TEST(PredictionReplayTest, DecodedTraceObservedRacesAgreeAcrossEngines) {
   // Record a session over both prediction seeds, round-trip the trace
-  // through serialize(), then replay under every engine:
-  // the observed race report must be byte-identical - engines only add
-  // predictions, they never change what was observed.
+  // through serialize(), then replay with prediction off and on: the
+  // observed race report must be byte-identical - the SHB and WCP passes
+  // only add predictions, they never change what was observed.
   sites::SiteSpec Spec;
   Spec.Name = "prediction";
   Spec.Patterns.push_back({sites::PatternKind::PostFirstRaceBenign, 1});
@@ -370,29 +341,28 @@ TEST(PredictionReplayTest, DecodedTraceObservedRacesAgreeAcrossEngines) {
   ASSERT_TRUE(TraceLog::deserialize(Bytes, Log, &Error)) << Error;
 
   std::string RawGolden, FilteredGolden;
-  for (EngineKind Kind : {EngineKind::Hb, EngineKind::Shb, EngineKind::Wcp}) {
+  for (bool Predict : {false, true}) {
     ReplayOptions RO;
-    RO.Detector.Engine = Kind;
+    RO.Predict = Predict;
     ReplayResult R = replayTrace(Log, RO);
     std::string Raw = racesJson(R.RawRaces, R.Hb);
     std::string Filtered = racesJson(R.FilteredRaces, R.Hb);
-    if (Kind == EngineKind::Hb) {
+    if (!Predict) {
       RawGolden = Raw;
       FilteredGolden = Filtered;
-      // The HB replay reproduces the online run.
+      // The plain replay reproduces the online run.
       EXPECT_EQ(R.RawRaces.size(), Online.RawRaces.size());
       EXPECT_EQ(R.FilteredRaces.size(), Online.FilteredRaces.size());
       EXPECT_TRUE(R.Predictions.empty());
-    } else {
-      EXPECT_EQ(Raw, RawGolden) << "engine " << toString(Kind);
-      EXPECT_EQ(Filtered, FilteredGolden) << "engine " << toString(Kind);
+      continue;
     }
-    if (Kind == EngineKind::Shb || Kind == EngineKind::Wcp) {
-      ASSERT_EQ(R.Predictions.size(), 1u) << "engine " << toString(Kind);
-      EXPECT_EQ(R.Predictions[0].Engine, Kind);
+    EXPECT_EQ(Raw, RawGolden);
+    EXPECT_EQ(Filtered, FilteredGolden);
+    ASSERT_EQ(R.Predictions.size(), 2u);
+    for (const PredictionResult &P : R.Predictions)
       // Offline prediction dominates the observed replay too.
-      EXPECT_EQ(R.Predictions[0].observedMatched(), R.RawRaces.size());
-    }
+      EXPECT_EQ(P.observedMatched(), R.RawRaces.size())
+          << "engine " << toString(P.Engine);
   }
 }
 

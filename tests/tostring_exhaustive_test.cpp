@@ -19,7 +19,7 @@
 #include "detect/Prediction.h"
 #include "detect/RaceDetector.h"
 #include "hb/HbGraph.h"
-#include "hb/PartialOrderEngine.h"
+#include "hb/PredictiveEngine.h"
 #include "sites/Patterns.h"
 
 #include <gtest/gtest.h>
@@ -224,14 +224,13 @@ std::vector<EngineKind> allEngineKinds() {
   std::vector<EngineKind> All;
   auto Covered = [](EngineKind K) {
     switch (K) {
-    case EngineKind::Hb:
     case EngineKind::Shb:
     case EngineKind::Wcp:
       return K;
     }
     return K;
   };
-  for (EngineKind K : {EngineKind::Hb, EngineKind::Shb, EngineKind::Wcp})
+  for (EngineKind K : {EngineKind::Shb, EngineKind::Wcp})
     All.push_back(Covered(K));
   return All;
 }
@@ -348,19 +347,6 @@ TEST(ToStringExhaustiveTest, EngineKindNamesAreComplete) {
   expectCompleteStringTable(
       allEngineKinds(), [](EngineKind K) { return toString(K); },
       "unknown");
-}
-
-TEST(ToStringExhaustiveTest, EngineKindNamesRoundTripThroughParse) {
-  // The CLI spellings must parse back to the exact enumerator.
-  for (EngineKind K : allEngineKinds()) {
-    EngineKind Parsed = EngineKind::Hb;
-    EXPECT_TRUE(parseEngineKind(toString(K), Parsed)) << toString(K);
-    EXPECT_EQ(Parsed, K);
-  }
-  EngineKind Untouched = EngineKind::Wcp;
-  EXPECT_FALSE(parseEngineKind("unknown", Untouched));
-  EXPECT_FALSE(parseEngineKind("", Untouched));
-  EXPECT_EQ(Untouched, EngineKind::Wcp);
 }
 
 TEST(ToStringExhaustiveTest, OrderingNamesAreComplete) {

@@ -30,12 +30,10 @@
 //                       microseconds (default: jitter 500..3000)
 //   --raw               page, replay: print unfiltered races
 //   --no-explore        page, cross-check: skip automatic exploration
-//   --engine NAME       partial-order engine: hb (default), shb, or wcp.
-//                       The observed race output is always computed
-//                       under happens-before; shb/wcp add a predictive
-//                       pass (implies --predict)
-//   --predict           page, replay, batch: run the SHB and WCP
-//                       predictive passes after the observed run
+//   --predict           page, replay, batch: run the SHB, then the WCP,
+//                       predictive pass after the observed run (the
+//                       observed races are always computed under
+//                       happens-before; corpus always predicts)
 //   --suppressions FILE page, replay, corpus, batch: drop races matching
 //                       the suppression file; drops are counted in the
 //                       filter attrition and unmatched entries warn
@@ -53,7 +51,9 @@
 //   --precision         cross-check: per-guard-class precision accounting
 //   --static-only       cross-check: static analysis alone, no dynamic run
 //   --json FILE         write the schema-1 JSON report to FILE
-//   --metrics           dump run statistics as a name-sorted listing
+//   --metrics           dump run statistics as a name-sorted listing:
+//                       every numeric leaf of the report's stats object
+//                       plus phases.<p>.wall_ns
 //
 // A first argument that is not a subcommand exits 2 with the usage text.
 //
@@ -104,10 +104,9 @@ int usage(const char *Argv0) {
       "                        static-vs-dynamic race comparison\n"
       "  batch --traces DIR    deduplicating ingest of a trace directory\n"
       "\n"
-      "common options: --engine hb|shb|wcp, --json FILE,\n"
-      "  --metrics, --suppressions FILE, --sample-rate X; see the\n"
-      "  header of this tool or README.md for the per-subcommand "
-      "tables.\n",
+      "common options: --json FILE, --metrics, --predict,\n"
+      "  --suppressions FILE, --sample-rate X; see the header of this\n"
+      "  tool or README.md for the per-subcommand tables.\n",
       Argv0);
   return 2;
 }
@@ -173,31 +172,21 @@ obs::Json withoutMember(const obs::Json &Doc, const std::string &Key) {
   return Out;
 }
 
-/// Snapshots \p Stats into a registry and dumps it name-sorted.
+/// Dumps \p Stats as the name-sorted --metrics listing.
 void printMetrics(const obs::RunStats &Stats) {
-  obs::MetricsRegistry Registry;
-  Stats.exportTo(Registry, "webracer");
-  std::printf("\n-- metrics --\n%s", Registry.toText().c_str());
+  std::printf("\n-- metrics --\n");
+  for (const auto &[Name, Value] : Stats.metrics())
+    std::printf("webracer.%s %llu\n", Name.c_str(),
+                static_cast<unsigned long long>(Value));
 }
 
-/// The schema-1 report for an offline replay: stats plus both race sets.
+/// The schema-1 report for an offline replay: stats plus the races.
 obs::Json buildReplayReport(const std::string &Name,
                             const detect::ReplayResult &R) {
   obs::Json Doc = obs::makeReportEnvelope("replay", Name);
   Doc.set("stats", R.Stats.toJson());
-  obs::Json RawArr = obs::Json::array();
-  for (const detect::Race &Race : R.RawRaces)
-    RawArr.push(webracer::raceToJson(Race, R.Hb));
-  obs::Json FilteredArr = obs::Json::array();
-  for (const detect::Race &Race : R.FilteredRaces)
-    FilteredArr.push(webracer::raceToJson(Race, R.Hb));
-  obs::Json Races = obs::Json::object();
-  Races.set("raw", std::move(RawArr));
-  Races.set("filtered", std::move(FilteredArr));
-  if (!R.Predictions.empty())
-    Races.set("predicted",
-              webracer::predictionsToJson(R.Predictions, R.Hb));
-  Doc.set("races", std::move(Races));
+  Doc.set("races", webracer::racesToJson(R.RawRaces, R.FilteredRaces,
+                                         R.Predictions, R.Hb));
   return Doc;
 }
 
@@ -210,6 +199,17 @@ void printPredictionSummary(
                 toString(P.Engine), P.Races.size(), P.observedMatched(),
                 P.predictedCount(),
                 static_cast<unsigned long long>(P.DroppedEdges));
+}
+
+/// True when \p Index names a regular file; otherwise prints the error.
+/// Checked before any resource walk: a directory would load as an empty
+/// page with every file under its parent served beside it.
+bool isPageFile(const fs::path &Index) {
+  std::error_code Ec;
+  if (fs::is_regular_file(Index, Ec))
+    return true;
+  std::fprintf(stderr, "error: cannot read %s\n", Index.string().c_str());
+  return false;
 }
 
 /// Builds a PageSpec from the files on disk under \p Root, mirroring the
@@ -272,7 +272,6 @@ struct CliOptions {
   bool Metrics = false;
   bool Precision = false;
   bool StaticOnly = false;
-  EngineKind Engine = EngineKind::Hb;
   double SampleRate = 1.0;
   std::string RecordFile, JsonFile, SuppressionsFile, TracesDir;
   uint64_t Sites = 0;
@@ -303,8 +302,6 @@ bool modeAccepts(Mode M, const std::string &Flag) {
     return In({Mode::Page, Mode::Corpus, Mode::CrossCheck});
   if (Flag == "--raw")
     return In({Mode::Page, Mode::Replay});
-  if (Flag == "--engine")
-    return true;
   if (Flag == "--predict")
     return In({Mode::Page, Mode::Replay, Mode::Batch});
   if (Flag == "--suppressions")
@@ -383,17 +380,6 @@ int parseModeArgs(CliOptions &O, const std::vector<std::string> &Args,
       O.Raw = true;
     } else if (Arg == "--no-explore") {
       O.Explore = false;
-    } else if (Arg == "--engine") {
-      const char *V = Value("--engine");
-      if (!V)
-        return 2;
-      if (!parseEngineKind(V, O.Engine)) {
-        std::fprintf(stderr,
-                     "error: unknown engine '%s' (expected hb, shb, or "
-                     "wcp)\n",
-                     V);
-        return 2;
-      }
     } else if (Arg == "--predict") {
       O.Predict = true;
     } else if (Arg == "--suppressions") {
@@ -513,7 +499,6 @@ int replayMain(const CliOptions &O) {
   if (!loadSuppressions(O.SuppressionsFile, Suppressions, HaveSuppressions))
     return 1;
   detect::ReplayOptions Opts;
-  Opts.Detector.Engine = O.Engine;
   // Replay has no --seed; the default stream keeps repeated replays of
   // the same trace byte-identical.
   Opts.Detector.Sampling = O.samplingOptions(/*Seed=*/1);
@@ -562,7 +547,6 @@ int corpusMain(const CliOptions &O) {
   if (O.Sites && O.Sites < Corpus.size())
     Corpus.resize(O.Sites);
   webracer::SessionOptions Opts;
-  Opts.Detector.Engine = O.Engine;
   // runSite mixes each site's pre-drawn seed into this base, so the
   // per-site streams are independent yet --jobs invariant.
   Opts.Detector.Sampling = O.samplingOptions(O.Seed);
@@ -571,7 +555,7 @@ int corpusMain(const CliOptions &O) {
   // Corpus reports always carry the wr_prediction section: the corpus
   // seeds post-first-race and interval-skip patterns precisely so the
   // SHB/WCP deltas are measured alongside Table 1/2 (bench/baseline.json
-  // and tools/diff_baseline.py track the headline counters).
+  // holds them, and tools/diff_baseline.py compares every leaf).
   Opts.Predict = true;
   std::printf("running %zu sites with %u job(s)...\n", Corpus.size(),
               O.Jobs);
@@ -615,7 +599,6 @@ int batchMain(const CliOptions &O) {
   }
   triage::BatchOptions Opts;
   Opts.Jobs = O.Jobs;
-  Opts.Replay.Detector.Engine = O.Engine;
   Opts.Replay.Detector.Sampling = O.samplingOptions(/*Seed=*/1);
   Opts.Replay.Predict = O.Predict;
   if (HaveSuppressions)
@@ -642,12 +625,8 @@ int batchMain(const CliOptions &O) {
 /// static-vs-dynamic comparison, or the per-guard-class precision
 /// accounting (--precision).
 int crossCheckMain(const CliOptions &O) {
-  std::error_code Ec;
-  if (!fs::exists(O.Index, Ec)) {
-    std::fprintf(stderr, "error: cannot read %s\n",
-                 O.Index.string().c_str());
+  if (!isPageFile(O.Index))
     return 1;
-  }
   analysis::PageSpec Page =
       pageSpecFromDisk(O.Index, O.Root, O.FixedLatency);
 
@@ -672,7 +651,6 @@ int crossCheckMain(const CliOptions &O) {
   analysis::CrossCheckOptions CkOpts;
   CkOpts.Session.Browser.Seed = O.Seed;
   CkOpts.Session.AutoExplore = O.Explore;
-  CkOpts.Session.Detector.Engine = O.Engine;
   // Measure against everything the dynamic semantics produced; the
   // Sec. 5.3 filters are reporting refinements, not ground truth.
   CkOpts.UseFilteredRaces = false;
@@ -729,12 +707,8 @@ int crossCheckMain(const CliOptions &O) {
 
 /// Page mode: run detection over a page stored on disk.
 int pageMain(const CliOptions &O) {
-  std::error_code Ec;
-  if (!fs::exists(O.Index, Ec)) {
-    std::fprintf(stderr, "error: cannot read %s\n",
-                 O.Index.string().c_str());
+  if (!isPageFile(O.Index))
     return 1;
-  }
   triage::SuppressionFile Suppressions;
   bool HaveSuppressions = false;
   if (!loadSuppressions(O.SuppressionsFile, Suppressions, HaveSuppressions))
@@ -743,7 +717,6 @@ int pageMain(const CliOptions &O) {
   webracer::SessionOptions Opts;
   Opts.Browser.Seed = O.Seed;
   Opts.AutoExplore = O.Explore;
-  Opts.Detector.Engine = O.Engine;
   Opts.Detector.Sampling = O.samplingOptions(O.Seed);
   Opts.Predict = O.Predict;
   if (HaveSuppressions)
@@ -753,6 +726,7 @@ int pageMain(const CliOptions &O) {
 
   // Register the tree under the resource root.
   size_t Registered = 0;
+  std::error_code Ec;
   if (fs::is_directory(O.Root, Ec)) {
     for (const auto &Entry :
          fs::recursive_directory_iterator(O.Root, Ec)) {
