@@ -16,10 +16,7 @@
 //     typically several times faster).
 //
 // It also checks the clocks against a breadth-first search on every
-// query, times the detector's access path, and runs a corpus slice to
-// gate the adaptive read representation: under 10% of locations ever
-// inflate a read vector, reads stay on the epoch path, and no CHC
-// question escalates past an epoch probe. The detector's race output
+// query and times the detector's access path. The detector's race output
 // itself is checked against the Sec. 5.1 definitions by
 // tests/detector_oracle_test.cpp.
 //
@@ -36,11 +33,8 @@
 #include "mem/LocationInterner.h"
 #include "obs/Json.h"
 #include "obs/Reporter.h"
-#include "sites/Corpus.h"
-#include "sites/CorpusRunner.h"
 #include "support/Rng.h"
 #include "support/Watermarks.h"
-#include "webracer/Session.h"
 
 #include <chrono>
 #include <cstdio>
@@ -264,16 +258,11 @@ struct DetectorRow {
   uint64_t Races = 0;
   double AccessMs = 0;
   uint64_t DetectorBytes = 0;
-  uint64_t Inflations = 0;
-  uint64_t Deflations = 0;
-  double EpochReadRate = 0;
 };
 
 /// Streams a web-shaped access workload (a small location pool, 70%
-/// reads, ops in id order) through the detector, timing the access path
-/// and gating: zero generic oracle queries and every read on the epoch
-/// path.
-DetectorRow runDetectorSize(size_t N, int Reps, int &Failures) {
+/// reads, ops in id order) through the detector, timing the access path.
+DetectorRow runDetectorSize(size_t N, int Reps) {
   DetectorRow Row;
   Row.Ops = N;
 
@@ -315,23 +304,6 @@ DetectorRow runDetectorSize(size_t N, int Reps, int &Failures) {
       continue;
     Row.Races = D.races().size();
     Row.DetectorBytes = D.detectorBytes();
-    Row.Inflations = D.readInflations();
-    Row.Deflations = D.readDeflations();
-    Row.EpochReadRate =
-        D.readsSeen() ? static_cast<double>(D.epochReads()) /
-                            static_cast<double>(D.readsSeen())
-                      : 1.0;
-    if (D.chcQueries() != 0) {
-      std::printf("FAIL: %llu generic oracle queries under the epoch "
-                  "oracle at %zu ops\n",
-                  static_cast<unsigned long long>(D.chcQueries()), N);
-      ++Failures;
-    }
-    if (Row.EpochReadRate < 0.9) {
-      std::printf("FAIL: epoch read rate %.3f < 0.9 at %zu ops\n",
-                  Row.EpochReadRate, N);
-      ++Failures;
-    }
   }
   Row.AccessMs = Best * 1e3;
   return Row;
@@ -405,43 +377,6 @@ std::vector<KernelRow> runKernelTable() {
   return Rows;
 }
 
-/// Aggregated wr_epochs figures of the corpus sweep.
-struct CorpusStats {
-  uint64_t Races = 0;
-  uint64_t Reads = 0;
-  uint64_t EpochReads = 0;
-  uint64_t TrackedLocations = 0;
-  uint64_t ReadVectorLocations = 0;
-  uint64_t ChcQueries = 0;
-};
-
-/// Runs the first \p Sites corpus sites once each and sums their
-/// wr_epochs figures.
-CorpusStats corpusSites(size_t Sites) {
-  std::vector<sites::GeneratedSite> Corpus =
-      sites::buildFortune100Corpus(2012);
-  if (Corpus.size() > Sites)
-    Corpus.resize(Sites);
-  CorpusStats Stats;
-  for (const sites::GeneratedSite &Site : Corpus) {
-    webracer::SessionOptions Opts;
-    Opts.Browser.Seed = 42;
-    webracer::Session S(Opts);
-    S.network().addResource(Site.IndexUrl, Site.Html, 10);
-    for (const sites::SiteResource &R : Site.Resources)
-      S.network().addResourceWithJitter(R.Url, R.Body, R.MinLatencyUs,
-                                        R.MaxLatencyUs);
-    webracer::SessionResult Result = S.run(Site.IndexUrl);
-    Stats.Races += Result.RawRaces.size();
-    Stats.Reads += Result.Stats.ReadsSeen;
-    Stats.EpochReads += Result.Stats.EpochReads;
-    Stats.TrackedLocations += Result.Stats.TrackedLocations;
-    Stats.ReadVectorLocations += Result.Stats.ReadVectorLocations;
-    Stats.ChcQueries += Result.Stats.ChcQueries;
-  }
-  return Stats;
-}
-
 } // namespace
 
 int main(int Argc, char **Argv) {
@@ -490,17 +425,16 @@ int main(int Argc, char **Argv) {
     Rows.push_back(Row);
   }
 
-  std::printf("\n== detector access path (adaptive epochs) ==\n");
-  std::printf("\n%7s | %9s | %8s | %10s | %9s\n", "ops", "accesses",
-              "ms", "bytes", "rd rate");
-  std::printf("--------+-----------+----------+------------+----------\n");
+  std::printf("\n== detector access path (epoch slots) ==\n");
+  std::printf("\n%7s | %9s | %8s | %10s\n", "ops", "accesses", "ms",
+              "bytes");
+  std::printf("--------+-----------+----------+-----------\n");
   std::vector<DetectorRow> DetRows;
   for (size_t N : Sizes) {
-    DetectorRow Row = runDetectorSize(N, 3, Failures);
-    std::printf("%7zu | %9llu | %8.2f | %10llu | %8.3f\n", Row.Ops,
+    DetectorRow Row = runDetectorSize(N, 3);
+    std::printf("%7zu | %9llu | %8.2f | %10llu\n", Row.Ops,
                 static_cast<unsigned long long>(Row.Accesses), Row.AccessMs,
-                static_cast<unsigned long long>(Row.DetectorBytes),
-                Row.EpochReadRate);
+                static_cast<unsigned long long>(Row.DetectorBytes));
     DetRows.push_back(Row);
   }
 
@@ -514,44 +448,6 @@ int main(int Argc, char **Argv) {
     std::printf("%7zu | %9.2f | %9.2f | %9.2f\n", Row.Width,
                 Row.JoinBytesPerNs, Row.DominatedBytesPerNs,
                 Row.AllZeroBytesPerNs);
-
-  size_t SiteCount = Quick ? 12 : 25;
-  std::printf("\nrunning %zu corpus sites...\n", SiteCount);
-  CorpusStats Corpus = corpusSites(SiteCount);
-  std::printf("raw races: %llu\n",
-              static_cast<unsigned long long>(Corpus.Races));
-  // Corpus gates for the adaptive representation: the common case must
-  // stay O(1) per location (few locations ever inflate), reads must stay
-  // on the epoch path, and nothing may escalate to a generic query.
-  double InflatedPct =
-      Corpus.TrackedLocations
-          ? 100.0 * static_cast<double>(Corpus.ReadVectorLocations) /
-                static_cast<double>(Corpus.TrackedLocations)
-          : 0.0;
-  double CorpusReadRate =
-      Corpus.Reads ? static_cast<double>(Corpus.EpochReads) /
-                         static_cast<double>(Corpus.Reads)
-                   : 1.0;
-  std::printf("corpus: %.1f%% locations inflated, %.3f epoch read rate, "
-              "%llu chc queries\n",
-              InflatedPct, CorpusReadRate,
-              static_cast<unsigned long long>(Corpus.ChcQueries));
-  if (InflatedPct >= 10.0) {
-    std::printf("FAIL: %.1f%% of corpus locations inflated a read vector "
-                "(gate: < 10%%)\n",
-                InflatedPct);
-    ++Failures;
-  }
-  if (CorpusReadRate < 0.9) {
-    std::printf("FAIL: corpus epoch read rate %.3f < 0.9\n", CorpusReadRate);
-    ++Failures;
-  }
-  if (Corpus.ChcQueries != 0) {
-    std::printf("FAIL: %llu corpus CHC questions escalated to generic "
-                "oracle queries under the epoch oracle\n",
-                static_cast<unsigned long long>(Corpus.ChcQueries));
-    ++Failures;
-  }
 
   obs::Json Doc = obs::makeReportEnvelope("hb_scaling", "webdag");
   Doc.set("quick", Quick);
@@ -577,20 +473,9 @@ int main(int Argc, char **Argv) {
     R.set("accesses", Row.Accesses);
     R.set("races", Row.Races);
     R.set("detector_bytes", Row.DetectorBytes);
-    R.set("read_inflations", Row.Inflations);
-    R.set("read_deflations", Row.Deflations);
-    R.set("epoch_read_rate", Row.EpochReadRate);
     DetJson.push(std::move(R));
   }
   Doc.set("detector", std::move(DetJson));
-  obs::Json CorpusJson = obs::Json::object();
-  CorpusJson.set("sites", static_cast<uint64_t>(SiteCount));
-  CorpusJson.set("raw_races", Corpus.Races);
-  CorpusJson.set("reads", Corpus.Reads);
-  CorpusJson.set("epoch_reads", Corpus.EpochReads);
-  CorpusJson.set("tracked_locations", Corpus.TrackedLocations);
-  CorpusJson.set("read_vector_locations", Corpus.ReadVectorLocations);
-  Doc.set("corpus", std::move(CorpusJson));
   obs::Json Timing = obs::Json::object();
   // Kernel throughput is wall-clock, so it lands in the timing section
   // (excluded from byte-stability comparisons) tagged with the kernel.
@@ -636,6 +521,6 @@ int main(int Argc, char **Argv) {
     return 1;
   }
   std::printf("\nOK: >=60%% clock-memory reduction, no build-time "
-              "regression, O(1)-common-case read state, epoch-path reads\n");
+              "regression, clock answers equal breadth-first search\n");
   return 0;
 }

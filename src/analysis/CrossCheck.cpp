@@ -214,8 +214,9 @@ wr::analysis::tallyPrecision(const std::vector<PredictedRace> &Predictions,
   return Totals;
 }
 
-CrossCheckResult wr::analysis::crossCheck(const PageSpec &Page,
-                                          const CrossCheckOptions &Opts) {
+CrossCheckResult
+wr::analysis::crossCheck(const PageSpec &Page,
+                         const webracer::SessionOptions &Opts) {
   CrossCheckResult Result;
   Result.Name = Page.Name;
 
@@ -223,16 +224,13 @@ CrossCheckResult wr::analysis::crossCheck(const PageSpec &Page,
   Result.Static = analyzePage(Page.Html, Page.resolver());
 
   // Dynamic side: one full session with exploration over the same bytes.
-  webracer::Session S(Opts.Session);
+  webracer::Session S(Opts);
   S.network().addResource(Page.EntryUrl, Page.Html, 10);
   for (const PageResource &R : Page.Resources)
     S.network().addResource(R.Url, R.Content, R.LatencyUs);
   Result.Dynamic = S.run(Page.EntryUrl);
 
-  const std::vector<detect::Race> &Observed =
-      Opts.UseFilteredRaces ? Result.Dynamic.FilteredRaces
-                            : Result.Dynamic.RawRaces;
-  Result.DynamicRaces = mapDynamicRaces(Observed, S.browser());
+  Result.DynamicRaces = mapDynamicRaces(Result.Dynamic.RawRaces, S.browser());
   Result.Precision = tallyPrecision(Result.Static.Races, Result.DynamicRaces,
                                     &Result.Confirmed, &Result.Refuted);
   return Result;

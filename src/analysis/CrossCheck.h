@@ -31,13 +31,6 @@
 
 namespace wr::analysis {
 
-/// Options for one cross-check run.
-struct CrossCheckOptions {
-  webracer::SessionOptions Session; ///< AutoExplore defaults to on.
-  /// Compare against FilteredRaces instead of RawRaces.
-  bool UseFilteredRaces = false;
-};
-
 /// One dynamically observed race mapped into static-location space.
 struct MappedDynamicRace {
   detect::RaceKind Kind = detect::RaceKind::Variable;
@@ -111,10 +104,11 @@ struct CrossCheckResult {
   double recall() const;
 };
 
-/// Runs both analyses over \p Page and matches the reports.
+/// Runs both analyses over \p Page and matches the reports; \p Opts
+/// configures the dynamic session (AutoExplore defaults to on).
 CrossCheckResult crossCheck(const PageSpec &Page,
-                            const CrossCheckOptions &Opts =
-                                CrossCheckOptions());
+                            const webracer::SessionOptions &Opts =
+                                webracer::SessionOptions());
 
 /// Multi-line per-page report: predictions with their verdicts, dynamic
 /// races with their mapping, and the precision/recall summary.

@@ -128,10 +128,6 @@ public:
   /// not lower (including unreachable ones) - the conservative answer.
   const GuardSet &guardsAt(const js::Stmt *S) const;
 
-  /// True if \p S sits on a path dominated by a literally-false
-  /// condition: its effects cannot happen.
-  bool deadAt(const js::Stmt *S) const { return guardsAt(S).hasConstFalse(); }
-
   /// True if every path from operation entry to \p S definitely wrote
   /// \p Var first, making a read at \p S unexposed (see file comment).
   bool definitelyWrittenBefore(const js::Stmt *S,

@@ -16,7 +16,7 @@ bool wr::detect::involvesFormField(const Race &R) {
 
 std::vector<Race>
 wr::detect::filterFormRaces(const std::vector<Race> &Races,
-                            FilterCounts *Counts) {
+                            obs::FilterAttrition *Attrition) {
   std::vector<Race> Kept;
   for (const Race &R : Races) {
     if (R.Kind != RaceKind::Variable) {
@@ -24,16 +24,16 @@ wr::detect::filterFormRaces(const std::vector<Race> &Races,
       continue;
     }
     if (!involvesFormField(R)) {
-      if (Counts)
-        ++Counts->NotFormField;
+      if (Attrition)
+        ++Attrition->NotFormField;
       continue;
     }
     // Refinement: a write preceded by a read of the same field in the
     // same operation usually checks that the user has not modified the
     // field, making the race harmless.
     if (R.WriteHadPriorReadInOp) {
-      if (Counts)
-        ++Counts->PriorReadGuard;
+      if (Attrition)
+        ++Attrition->PriorReadGuard;
       continue;
     }
     Kept.push_back(R);
@@ -44,7 +44,7 @@ wr::detect::filterFormRaces(const std::vector<Race> &Races,
 std::vector<Race>
 wr::detect::filterSingleDispatch(const std::vector<Race> &Races,
                                  const DispatchCountFn &Counts,
-                                 FilterCounts *Attrition) {
+                                 obs::FilterAttrition *Attrition) {
   std::vector<Race> Kept;
   for (const Race &R : Races) {
     if (R.Kind != RaceKind::EventDispatch) {
@@ -68,7 +68,7 @@ wr::detect::filterSingleDispatch(const std::vector<Race> &Races,
 std::vector<Race>
 wr::detect::applyPaperFilters(const std::vector<Race> &Races,
                               const DispatchCountFn &Counts,
-                              FilterCounts *Attrition) {
+                              obs::FilterAttrition *Attrition) {
   if (Attrition)
     Attrition->Input += Races.size();
   std::vector<Race> Kept =

@@ -38,47 +38,26 @@ namespace wr::detect {
 /// location's (target, event) pair during the run.
 using DispatchCountFn = std::function<int(const EventHandlerLoc &)>;
 
-/// Where the filter pipeline dropped reports (the Table 2 attrition
-/// columns). Counts accumulate, so one record can span several calls.
-struct FilterCounts {
-  size_t Input = 0;          ///< Races entering the pipeline.
-  size_t NotFormField = 0;   ///< Variable races not on a form field.
-  size_t PriorReadGuard = 0; ///< Write guarded by a prior read.
-  size_t MultiDispatch = 0;  ///< Event races on multi-dispatch events.
-  size_t Suppressed = 0;     ///< Matched a user suppression (triage).
-  size_t Kept = 0;           ///< Races surviving every filter.
-};
-
 /// Applies the form-race filter to \p Races (variable races only).
-/// \p Counts, when non-null, accumulates the per-reason attrition.
+/// \p Attrition, when non-null, accumulates the per-reason drops (the
+/// Table 2 attrition columns; counts add up across calls).
 std::vector<Race> filterFormRaces(const std::vector<Race> &Races,
-                                  FilterCounts *Counts = nullptr);
+                                  obs::FilterAttrition *Attrition = nullptr);
 
 /// Applies the single-dispatch filter (event-dispatch races only).
-std::vector<Race> filterSingleDispatch(const std::vector<Race> &Races,
-                                       const DispatchCountFn &Counts,
-                                       FilterCounts *Attrition = nullptr);
+std::vector<Race>
+filterSingleDispatch(const std::vector<Race> &Races,
+                     const DispatchCountFn &Counts,
+                     obs::FilterAttrition *Attrition = nullptr);
 
 /// Applies both Sec. 5.3 filters. With \p Attrition non-null, fills
 /// Input/Kept and the per-reason drop counts for the whole pipeline.
 std::vector<Race> applyPaperFilters(const std::vector<Race> &Races,
                                     const DispatchCountFn &Counts,
-                                    FilterCounts *Attrition = nullptr);
+                                    obs::FilterAttrition *Attrition = nullptr);
 
 /// True if \p R involves a form-field value (the form filter predicate).
 bool involvesFormField(const Race &R);
-
-/// The attrition record as the obs-layer value RunStats carries.
-inline obs::FilterAttrition toAttrition(const FilterCounts &C) {
-  obs::FilterAttrition A;
-  A.Input = C.Input;
-  A.NotFormField = C.NotFormField;
-  A.PriorReadGuard = C.PriorReadGuard;
-  A.MultiDispatch = C.MultiDispatch;
-  A.Suppressed = C.Suppressed;
-  A.Kept = C.Kept;
-  return A;
-}
 
 } // namespace wr::detect
 

@@ -44,20 +44,18 @@ RaceDetector::LocState &RaceDetector::state(LocId Id) {
 
 namespace {
 
-/// Sorted insert into an InlineVec, deduplicating; Proj extracts the sort
-/// key (new entries usually carry the largest op id, so the scan walks
-/// from the back).
-template <typename Vec, typename T, typename Proj>
-void insertSorted(Vec &V, const T &E, Proj Key) {
+/// Inserts \p Op into the sorted reader set, deduplicating (a new reader
+/// usually carries the largest op id, so the scan walks from the back).
+void insertReader(InlineVec<OpId, 2> &V, OpId Op) {
   uint32_t I = V.size();
-  while (I > 0 && Key(V[I - 1]) > Key(E))
+  while (I > 0 && V[I - 1] > Op)
     --I;
-  if (I > 0 && Key(V[I - 1]) == Key(E))
+  if (I > 0 && V[I - 1] == Op)
     return;
-  V.push_back(E); // Grows if needed; then shift the tail up one.
+  V.push_back(Op); // Grows if needed; then shift the tail up one.
   for (uint32_t J = V.size() - 1; J > I; --J)
     V[J] = V[J - 1];
-  V[I] = E;
+  V[I] = Op;
 }
 
 } // namespace
@@ -117,64 +115,17 @@ void RaceDetector::report(LocState &St, const Slot &Prior,
   Races.push_back(std::move(R));
 }
 
-void RaceDetector::noteRead(LocState &St, const Access &A) {
-  // Maintenance of the adaptive read state; probes here are internal
-  // bookkeeping, not CHC questions, so no counter moves except the
-  // inflation tally. Called after the read landed in LastRead.
-  St.ReadsCovered = false;
-  ReadEntry E{A.Op, CurEpoch};
-  switch (St.Rep) {
-  case ReadRep::Empty:
-    St.ReadVec.clear();
-    St.ReadVec.push_back(E);
-    St.Rep = ReadRep::Epoch;
-    return;
-  case ReadRep::Epoch: {
-    ReadEntry &Cur = St.ReadVec[0];
-    if (Cur.Op == A.Op)
-      return; // Same-epoch re-read: the common case, no probe at all.
-    if (Cur.Op < A.Op && Hb.epochOrdered(Cur.E, A.Op)) {
-      Cur = E; // Slide: the stored epoch is ordered before this reader.
-      return;
-    }
-    if (Cur.Op > A.Op && Hb.epochOrdered(CurEpoch, Cur.Op))
-      return; // An inline-dispatch split: the stored (newer) read is
-              // ordered after this one and subsumes it.
-    // A read concurrent with the stored epoch: inflate to the vector.
-    insertSorted(St.ReadVec, E, [](const ReadEntry &R) { return R.Op; });
-    St.Rep = ReadRep::Vector;
-    St.EverInflated = true;
-    ++ReadInflations;
-    return;
+bool RaceDetector::raceWithSlot(LocState &St, const Slot &Prior,
+                                const Access &A) {
+  // CHC(⊥, b) = false, and an operation never races with itself.
+  if (Prior.Op == InvalidOpId || Prior.Op == A.Op) {
+    ++EpochHits;
+    return false;
   }
-  case ReadRep::Vector:
-    insertSorted(St.ReadVec, E, [](const ReadEntry &R) { return R.Op; });
-    return;
-  }
-}
-
-void RaceDetector::noteWrite(LocState &St, const Access &A,
-                             bool OrderedAfterLastWrite) {
-  if (St.Rep == ReadRep::Empty) {
-    // Propagate the covered invariant: all reads were ordered before the
-    // previous LastWrite; they stay covered only if this write is
-    // ordered after it.
-    St.ReadsCovered = St.ReadsCovered && OrderedAfterLastWrite;
-    return;
-  }
-  // VerifiedFT deflation: when this write dominates every active read
-  // epoch, collapse back to the empty state. Entries by newer ops can
-  // never be dominated (edges ascend), so the probe answers false and
-  // the loop exits early. A same-op entry probes its own clock (its own
-  // delta slot) and counts as dominated - program order within an op.
-  for (const ReadEntry &E : St.ReadVec)
-    if (!Hb.epochOrdered(E.E, A.Op))
-      return;
-  if (St.Rep == ReadRep::Vector)
-    ++ReadDeflations;
-  St.ReadVec.clear();
-  St.Rep = ReadRep::Empty;
-  St.ReadsCovered = true;
+  if (!priorConcurrent(Prior, A.Op))
+    return false;
+  report(St, Prior, A);
+  return true;
 }
 
 obs::SamplingStats RaceDetector::samplingStats() const {
@@ -193,17 +144,10 @@ obs::SamplingStats RaceDetector::samplingStats() const {
   return S;
 }
 
-size_t RaceDetector::readVectorLocations() const {
-  size_t N = 0;
-  for (const LocState &St : Locs)
-    N += St.EverInflated;
-  return N;
-}
-
 uint64_t RaceDetector::detectorBytes() const {
   uint64_t Bytes = Locs.capacity() * sizeof(LocState);
   for (const LocState &St : Locs) {
-    Bytes += St.ReadVec.heapBytes() + St.Readers.heapBytes();
+    Bytes += St.Readers.heapBytes();
     if (St.History)
       Bytes += sizeof(std::vector<Slot>) +
                St.History->capacity() * sizeof(Slot);
@@ -231,9 +175,7 @@ void RaceDetector::onMemoryAccess(const Access &A) {
   enterOp(A.Op);
   LocState &St = state(A.Loc);
   // Once the one-per-location race is out, no ordering verdict on this
-  // location can change any output - skip the HB questions wholesale
-  // (and freeze the adaptive read state; its transitions are unobservable
-  // once the location is muted).
+  // location can change any output - skip the HB questions wholesale.
   bool Muted = Opts.OnePerLocation && St.Reported;
   Slot S;
   S.Op = A.Op;
@@ -248,86 +190,42 @@ void RaceDetector::onMemoryAccess(const Access &A) {
       EpochHits += Hist.size();
     } else {
       // Check against every recorded access (read-write and write-write).
-      // Every prior poses one CHC question, answered by the read-read or
-      // same-op shortcut or by one epoch probe.
+      // Every prior poses one CHC question, answered by the read-read
+      // shortcut or as a slot question.
       for (const Slot &Prior : Hist) {
-        bool OneIsWrite = Prior.A.Kind == AccessKind::Write ||
-                          A.Kind == AccessKind::Write;
-        if (Prior.Op == A.Op || !OneIsWrite) {
+        if (Prior.A.Kind == AccessKind::Read && A.Kind == AccessKind::Read) {
           ++EpochHits;
           continue;
         }
-        if (priorConcurrent(Prior, A.Op)) {
-          report(St, Prior, A);
-          if (Opts.OnePerLocation)
-            break;
-        }
+        if (raceWithSlot(St, Prior, A) && Opts.OnePerLocation)
+          break;
       }
     }
     if (A.Kind == AccessKind::Write)
       S.HadPriorRead = isReader(St, A.Op);
     Hist.push_back(std::move(S));
     if (A.Kind == AccessKind::Read)
-      insertSorted(St.Readers, A.Op, [](OpId Op) { return Op; });
+      insertReader(St.Readers, A.Op);
     return;
   }
 
   // The paper's single-slot algorithm (Sec. 5.1). A read poses one CHC
   // question (vs LastWrite), a write poses two (vs LastWrite, then vs
-  // LastRead unless the write check already reported); every question is
-  // answered in O(1) by exactly one of: ⊥ slot (the paper's CHC(⊥, b) =
-  // false case), same operation, muted location, the deflation-covered
-  // shortcut, or a single epoch probe.
+  // LastRead unless the write check already reported); a muted location
+  // answers both without looking.
   if (A.Kind == AccessKind::Read) {
-    Slot &W = St.LastWrite;
-    if (Muted || W.Op == InvalidOpId || W.Op == A.Op)
+    if (Muted)
       ++EpochHits;
-    else if (priorConcurrent(W, A.Op))
-      report(St, W, A);
+    else
+      raceWithSlot(St, St.LastWrite, A);
     St.LastRead = std::move(S);
-    insertSorted(St.Readers, A.Op, [](OpId Op) { return Op; });
-    if (!Muted)
-      noteRead(St, A);
+    insertReader(St.Readers, A.Op);
     return;
   }
-
-  // Write: race against the last write and the last read.
-  Slot &W = St.LastWrite;
-  Slot &R = St.LastRead;
-  // Whether this write is ordered after the previous LastWrite (known
-  // from the write check's verdict plus the id direction; same-op and
-  // no-prior-write count as vacuously ordered). Drives the ReadsCovered
-  // invariant in noteWrite.
-  bool OrderedAfterLastWrite = false;
-  if (Muted) {
+  if (Muted)
     EpochHits += 2;
-  } else {
-    bool RacedWithWrite = false;
-    if (W.Op == InvalidOpId || W.Op == A.Op) {
-      ++EpochHits;
-      OrderedAfterLastWrite = true;
-    } else if (priorConcurrent(W, A.Op)) {
-      RacedWithWrite = true;
-      report(St, W, A);
-    } else {
-      OrderedAfterLastWrite = W.Op < A.Op;
-    }
-    if (!RacedWithWrite) {
-      if (R.Op == InvalidOpId || R.Op == A.Op ||
-          (St.Rep == ReadRep::Empty && St.ReadsCovered &&
-           OrderedAfterLastWrite)) {
-        // The last case is the deflation shortcut (the FastTrack
-        // write-after-ordered-reads O(1) case): every read is ordered
-        // before LastWrite and this write is ordered after LastWrite, so
-        // transitively the read check's verdict is "not concurrent". See
-        // DESIGN.md "Adaptive epochs" for the soundness argument.
-        ++EpochHits;
-      } else if (priorConcurrent(R, A.Op)) {
-        report(St, R, A);
-      }
-    }
-    noteWrite(St, A, OrderedAfterLastWrite);
-  }
+  else if (!raceWithSlot(St, St.LastWrite, A))
+    raceWithSlot(St, St.LastRead, A);
   S.HadPriorRead = isReader(St, A.Op);
   St.LastWrite = std::move(S);
 }
@@ -348,10 +246,6 @@ void wr::detect::collectStats(const HbGraph &Hb, const RaceDetector &D,
   S.TrackedLocations = D.trackedLocations();
   S.EpochHits = D.epochHits();
   S.ReadsSeen = D.readsSeen();
-  S.EpochReads = D.epochReads();
-  S.ReadInflations = D.readInflations();
-  S.ReadDeflations = D.readDeflations();
-  S.ReadVectorLocations = D.readVectorLocations();
   S.DetectorBytes = D.detectorBytes();
   S.Sampling = D.samplingStats();
 }

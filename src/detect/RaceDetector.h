@@ -20,18 +20,13 @@
 ///    misses and what FullHistory costs.
 ///
 /// Accesses arrive keyed by interned LocId (mem/LocationInterner.h), so
-/// all per-location state lives in one dense vector indexed by id. Per
-/// location the detector keeps the adaptive VerifiedFT-v2-style epoch
-/// representation (see DESIGN.md "Adaptive epochs"): each slot stores the
-/// operation's (chain, position) clock epoch from the HbGraph's clock
-/// index, so every CHC question is one O(1) clock probe, and the
-/// active-read state is a single read epoch in the common case, inflated
-/// to a compact sorted read vector only when a concurrent read arrives
-/// and deflated back to the epoch form by a dominating write. The reader
-/// set is a sorted InlineVec (deterministic iteration, no heap in the
-/// common case), so per-tracked-location memory is O(1) unless a
-/// location actually sees concurrent readers. The predictive SHB/WCP
-/// orders run in detect/Prediction.h, not here.
+/// all per-location state lives in one dense vector indexed by id. Each
+/// slot stores its operation's (chain, position) clock epoch from the
+/// HbGraph's clock index, so every CHC question is one O(1) clock probe
+/// (see DESIGN.md "Epoch slots"). The reader set of the Sec. 5.3
+/// refinement is a sorted InlineVec (deterministic iteration, no heap
+/// until a location has three readers). The predictive SHB/WCP orders
+/// run in detect/Prediction.h, not here.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -117,8 +112,8 @@ public:
   uint64_t chcQueries() const { return 0; }
 
   /// CHC questions the access stream posed, each answered in O(1):
-  /// ⊥-slot answers, same-operation checks, muted locations, single
-  /// epoch probes, and deflation-covered read checks.
+  /// ⊥-slot answers, same-operation checks, muted locations, and single
+  /// epoch probes.
   uint64_t epochHits() const { return EpochHits; }
 
   /// Number of instrumented accesses processed (accesses the sampling
@@ -136,26 +131,12 @@ public:
   /// Read accesses among accessesSeen().
   uint64_t readsSeen() const { return ReadsSeen; }
 
-  /// Read accesses whose CHC question (vs the last write) was answered
-  /// on the epoch path: every read. The epoch-path read rate
-  /// epochReads() / readsSeen() is gated >= 90% by bench/hb_scaling.
-  uint64_t epochReads() const { return ReadsSeen; }
-
-  /// Epoch -> vector transitions of the per-location read state (a read
-  /// concurrent with the stored read epoch arrived).
-  uint64_t readInflations() const { return ReadInflations; }
-
-  /// Vector -> empty collapses of an inflated read state (a write
-  /// dominated every stored read epoch).
-  uint64_t readDeflations() const { return ReadDeflations; }
-
-  /// Locations whose read state ever inflated to the vector form; the
-  /// O(1)-common-case memory claim is this staying a small fraction of
-  /// trackedLocations() (bench/hb_scaling gates < 10% on the corpus).
-  size_t readVectorLocations() const;
+  /// Always 0: the detector keeps no adaptive read state. A shim kept
+  /// only for bench/perf's detect.read_inflations counter.
+  uint64_t readInflations() const { return 0; }
 
   /// Structural bytes the detector currently holds: the dense per-location
-  /// table plus all reader/read-vector/history heap storage. Access
+  /// table plus all reader-set and history heap storage. Access
   /// Detail strings are excluded - this measures the representation, not
   /// the payload.
   uint64_t detectorBytes() const;
@@ -180,45 +161,17 @@ private:
     bool HadPriorRead = false;
   };
 
-  /// One entry of the active-read state: a reading op and its epoch.
-  struct ReadEntry {
-    OpId Op = InvalidOpId;
-    ClockEpoch E;
-  };
-
-  /// Shape of the active-read state (the VerifiedFT-v2 adaptive
-  /// representation). Maintained in single-slot mode; race checks never
-  /// read it - it drives the deflation fast path and the memory
-  /// accounting.
-  enum class ReadRep : uint8_t {
-    Empty,  ///< No undominated read (initial, or after deflation).
-    Epoch,  ///< One read epoch (ReadVec holds exactly one entry).
-    Vector, ///< Concurrent reads: sorted epoch vector (inflated).
-  };
-
   /// All per-location detector state, one vector element per LocId.
   struct LocState {
     Slot LastRead;
     Slot LastWrite;
-    /// Active-read state: the entries whose epochs are not yet dominated
-    /// by a write, sorted by OpId. Inline room for two - inflation
-    /// itself needs no heap until a third concurrent reader shows up.
-    InlineVec<ReadEntry, 2> ReadVec;
-    /// Operations that read this location, sorted (form-filter
-    /// refinement metadata; exact, because inline dispatch nests
-    /// operations - see DESIGN.md "Adaptive epochs" for why this set
-    /// never deflates).
+    /// Operations that read this location, sorted (the Sec. 5.3
+    /// prior-read metadata). Exact, because inline dispatch nests
+    /// operations: a later-streamed access can belong to an earlier
+    /// operation, so LastRead alone cannot answer membership.
     InlineVec<OpId, 2> Readers;
-    ReadRep Rep = ReadRep::Empty;
     bool Touched = false;  ///< Any access seen (tracked-locations count).
     bool Reported = false; ///< One-per-location race already emitted.
-    /// Read state ever reached the vector form (readVectorLocations()).
-    bool EverInflated = false;
-    /// Rep == Empty because a write dominated every active read, and
-    /// every write stored since was ordered after that write - so all
-    /// reads are ordered before LastWrite and a write ordered after
-    /// LastWrite needs no read probe at all.
-    bool ReadsCovered = false;
     /// FullHistory mode keeps every access (allocated on first use so
     /// single-slot locations pay one pointer).
     std::unique_ptr<std::vector<Slot>> History;
@@ -234,11 +187,10 @@ private:
   /// CHC question, answered by one epoch probe.
   bool priorConcurrent(const Slot &S, OpId Current);
   void report(LocState &St, const Slot &Prior, const Access &Current);
-  /// Read-side maintenance of the adaptive read state (slide / inflate).
-  void noteRead(LocState &St, const Access &A);
-  /// Write-side maintenance: deflate when the write dominates every
-  /// active read epoch; propagate the ReadsCovered invariant.
-  void noteWrite(LocState &St, const Access &A, bool OrderedAfterLastWrite);
+  /// One CHC question: \p A against the stored slot \p Prior, answered
+  /// by an unset slot, the same operation, or one epoch probe. Reports
+  /// and returns true when they race.
+  bool raceWithSlot(LocState &St, const Slot &Prior, const Access &A);
   /// True iff \p Op is in the sorted reader set.
   static bool isReader(const LocState &St, OpId Op);
 
@@ -259,8 +211,6 @@ private:
   uint64_t EpochHits = 0;
   uint64_t AccessesSeen = 0;
   uint64_t ReadsSeen = 0;
-  uint64_t ReadInflations = 0;
-  uint64_t ReadDeflations = 0;
   obs::PhaseStats *Phases = nullptr;
 };
 

@@ -101,11 +101,10 @@ ReplayResult wr::detect::replayTrace(const TraceLog &Log,
     }
   }
   Result.RawRaces = Detector.races();
-  FilterCounts Attrition;
-  Result.FilteredRaces = applyPaperFilters(
-      Result.RawRaces, dispatchCountsFromTrace(Log), &Attrition);
-
   obs::RunStats &S = Result.Stats;
+  Result.FilteredRaces = applyPaperFilters(
+      Result.RawRaces, dispatchCountsFromTrace(Log), &S.Attrition);
+
   collectStats(Result.Hb, Detector, S);
   S.InternedLocations = Log.interner().size();
   // Online, the engine interns exactly once per recorded access, so hits
@@ -116,7 +115,6 @@ ReplayResult wr::detect::replayTrace(const TraceLog &Log,
                      : 0;
   S.Raw = tally(Result.RawRaces);
   S.Filtered = tally(Result.FilteredRaces);
-  S.Attrition = toAttrition(Attrition);
   S.Crashes = Crashes;
 
   if (Opts.Predict)

@@ -191,9 +191,6 @@ public:
   /// All in-document elements in tree order.
   std::vector<Element *> allElements() const;
 
-  /// Total nodes created in this document.
-  size_t numNodes() const { return OwnedNodes.size(); }
-
 private:
   void collectElements(const Node *N, std::vector<Element *> &Out) const;
   static void setInDocumentRecursive(Node *N, bool In,

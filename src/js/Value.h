@@ -116,7 +116,6 @@ struct Completion {
     return {CompletionKind::Throw, std::move(V)};
   }
 
-  bool isNormal() const { return Kind == CompletionKind::Normal; }
   bool isThrow() const { return Kind == CompletionKind::Throw; }
   bool isAbrupt() const { return Kind != CompletionKind::Normal; }
 };

@@ -87,10 +87,6 @@ void RunStats::merge(const RunStats &O) {
   InternHits += O.InternHits;
   EpochHits += O.EpochHits;
   ReadsSeen += O.ReadsSeen;
-  EpochReads += O.EpochReads;
-  ReadInflations += O.ReadInflations;
-  ReadDeflations += O.ReadDeflations;
-  ReadVectorLocations += O.ReadVectorLocations;
   DetectorBytes += O.DetectorBytes;
   Sampling.merge(O.Sampling);
   Raw.merge(O.Raw);
@@ -139,10 +135,6 @@ Json RunStats::toJson() const {
   J.set("epoch_hits", EpochHits);
   Json Epochs = Json::object();
   Epochs.set("reads", ReadsSeen);
-  Epochs.set("epoch_reads", EpochReads);
-  Epochs.set("read_inflations", ReadInflations);
-  Epochs.set("read_deflations", ReadDeflations);
-  Epochs.set("read_vector_locations", ReadVectorLocations);
   Epochs.set("detector_bytes", DetectorBytes);
   J.set("wr_epochs", std::move(Epochs));
   // Present only when the sampling layer ran, so unsampled reports stay

@@ -27,6 +27,7 @@
 #include "obs/Json.h"
 #include "obs/PhaseTimer.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -71,6 +72,14 @@ struct FilterAttrition {
     MultiDispatch += O.MultiDispatch;
     Suppressed += O.Suppressed;
     Kept += O.Kept;
+  }
+
+  /// Moves \p Dropped races from Kept to Suppressed. Suppressions run on
+  /// the pipeline's kept races, so Input still equals the drops plus
+  /// Kept.
+  void suppress(uint64_t Dropped) {
+    Suppressed += Dropped;
+    Kept -= std::min(Dropped, Kept);
   }
 
   bool operator==(const FilterAttrition &O) const = default;
@@ -168,13 +177,12 @@ struct RunStats {
   uint64_t InternedLocations = 0; ///< Distinct locations in the interner.
   uint64_t InternHits = 0;        ///< Intern lookups that found an id.
   uint64_t EpochHits = 0;         ///< HB questions answered without a CHC query.
-  // Adaptive read-epoch representation (the "wr_epochs" report group).
-  uint64_t ReadsSeen = 0;           ///< Read accesses among AccessesSeen.
-  uint64_t EpochReads = 0;          ///< Reads whose CHC check stayed O(1).
-  uint64_t ReadInflations = 0;      ///< Read-state epoch -> vector inflations.
-  uint64_t ReadDeflations = 0;      ///< Read-state vector -> empty deflations.
-  uint64_t ReadVectorLocations = 0; ///< Locations whose read state ever inflated.
-  uint64_t DetectorBytes = 0;       ///< Structural bytes of detector state.
+  // The "wr_epochs" report group.
+  uint64_t ReadsSeen = 0;     ///< Read accesses among AccessesSeen.
+  uint64_t DetectorBytes = 0; ///< Structural bytes of detector state.
+  /// Always 0 and left out of merge() and toJson(): a shim kept only
+  /// for bench/perf's detect.read_inflations counter.
+  uint64_t ReadInflations = 0;
   /// The sampling layer's attrition record (the "wr_sampling" report
   /// group; omitted from toJson() when sampling was off).
   SamplingStats Sampling;

@@ -24,12 +24,16 @@ Window::Window(Browser &B, DocumentId Id, Window *Parent, Element *FrameElem)
 // Construction
 // ---------------------------------------------------------------------------
 
+/// Per-operation MiniJS step budget: a script that runs away crashes its
+/// operation instead of hanging the page.
+constexpr uint64_t StepBudget = 5'000'000;
+
 Browser::Browser(BrowserOptions Options)
     : Opts(Options), Net(Loop, Options.Seed ^ 0x9e3779b9u) {
   GlobalEnv = Heap.allocEnv(nullptr);
   Interp = std::make_unique<js::Interpreter>(Heap, GlobalEnv);
   Interp->setHooks(this);
-  Interp->setStepBudget(Opts.StepBudget);
+  Interp->setStepBudget(StepBudget);
   js::installStdLib(*Interp, Opts.Seed ^ 0xc0ffee);
   Heap.addRootProvider(this);
   installBindings(*this);

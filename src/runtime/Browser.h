@@ -57,17 +57,6 @@ struct BrowserOptions {
   /// reproduces WebRacer's over-reporting on AJAX-heavy pages.
   bool EnableAjaxHbEdges = true;
 
-  /// Install the `this.value := this.value` input-mirror handler on every
-  /// text box (Sec. 5.2.2), making user typing visible as a value write.
-  bool AutoInputMirror = false;
-
-  /// Per-operation JS step budget (0 = unlimited).
-  uint64_t StepBudget = 5'000'000;
-
-  /// Default latency for resources fetched relative to a site (used by
-  /// the corpus driver when registering resources).
-  VirtualTime DefaultLatency = 1000;
-
   /// Virtual cost of one parser step (microseconds). When nonzero, each
   /// parse step runs as its own event-loop task, so timers, network
   /// completions, and user actions interleave with parsing - the
@@ -504,11 +493,6 @@ private:
     if (Interner.size() != Before)
       Sinks.onLocationInterned(Id, Interner.resolve(Id));
     return Id;
-  }
-
-  js::Value wrapperValue(Node *N) {
-    js::Object *W = wrapperFor(N);
-    return W ? js::Value(W) : js::Value::null();
   }
 
   BrowserOptions Opts;

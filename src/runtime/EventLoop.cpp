@@ -30,11 +30,15 @@ bool EventLoop::runOne() {
   while (!Queue.empty()) {
     Task T = Queue.top();
     Queue.pop();
-    if (Cancelled.count(T.Id)) {
-      Finished.insert(T.Id);
-      continue;
-    }
     Finished.insert(T.Id);
+    if (Cancelled.count(T.Id))
+      continue;
+    if (T.When > Horizon || Executed >= MaxTasks) {
+      CutBy = T.When > Horizon ? "virtual-time horizon" : "task cap";
+      for (; !Queue.empty(); Queue.pop())
+        Finished.insert(Queue.top().Id);
+      return false;
+    }
     Now = std::max(Now, T.When);
     ++Executed;
     T.Fn();
@@ -45,11 +49,8 @@ bool EventLoop::runOne() {
 
 size_t EventLoop::runUntilIdle() {
   size_t Count = 0;
-  while (runOne()) {
+  while (runOne())
     ++Count;
-    if (TaskLimit != 0 && Count >= TaskLimit)
-      break;
-  }
   return Count;
 }
 

@@ -51,7 +51,8 @@ public:
   /// Runs tasks until the queue is empty. Returns the number executed.
   size_t runUntilIdle();
 
-  /// Runs at most one task; false if the queue was empty.
+  /// Runs at most one task; false if the queue was empty or a bound cut
+  /// the run.
   bool runOne();
 
   /// Pending (not yet run, not cancelled) task count.
@@ -67,10 +68,18 @@ public:
   /// Total tasks executed.
   uint64_t executedTasks() const { return Executed; }
 
-  /// Hard cap on tasks per runUntilIdle, guarding against accidental
-  /// infinite reschedule loops (e.g. an interval that never stops in a
-  /// generated site). 0 disables the cap.
-  void setTaskLimit(uint64_t Limit) { TaskLimit = Limit; }
+  /// Bounds on the loop's whole run, so a page that never goes idle - an
+  /// interval nobody clears, a timeout that reschedules itself with delay
+  /// 0 - still ends. A task due after Horizon, or any task once MaxTasks
+  /// have run, cuts the run: it and every pending task are dropped. Both
+  /// sit more than 10x above the most any corpus site, figure page, harm
+  /// replay or test reaches (803 tasks, 9.6 s).
+  static constexpr VirtualTime Horizon = 100'000'000; ///< 100 s.
+  static constexpr uint64_t MaxTasks = 50'000;
+
+  /// The bound that last cut the run ("virtual-time horizon" or "task
+  /// cap"), or null while none has.
+  const char *cutBy() const { return CutBy; }
 
 private:
   struct Task {
@@ -94,7 +103,7 @@ private:
   uint64_t NextSeq = 0;
   TaskId NextId = 1;
   uint64_t Executed = 0;
-  uint64_t TaskLimit = 2'000'000;
+  const char *CutBy = nullptr;
 };
 
 } // namespace wr::rt

@@ -20,17 +20,8 @@ void NetworkSimulator::addResourceWithJitter(std::string Url,
       Resource{std::move(Body), MinLatency, MaxLatency};
 }
 
-void NetworkSimulator::removeResource(const std::string &Url) {
-  Resources.erase(Url);
-}
-
 bool NetworkSimulator::hasResource(const std::string &Url) const {
   return Resources.count(Url) != 0;
-}
-
-std::string NetworkSimulator::resourceBody(const std::string &Url) const {
-  auto It = Resources.find(Url);
-  return It == Resources.end() ? std::string() : It->second.Body;
 }
 
 VirtualTime NetworkSimulator::latencyFor(const std::string &Url,

@@ -50,13 +50,7 @@ public:
   void addResourceWithJitter(std::string Url, std::string Body,
                              VirtualTime MinLatency, VirtualTime MaxLatency);
 
-  /// Removes a resource; subsequent fetches fail.
-  void removeResource(const std::string &Url);
-
   bool hasResource(const std::string &Url) const;
-
-  /// Body of a registered resource ("" if missing); test helper.
-  std::string resourceBody(const std::string &Url) const;
 
   /// Starts an asynchronous fetch; \p Done runs as an event-loop task
   /// after the resource's latency (or after ErrorLatency for a missing

@@ -2,9 +2,9 @@
 
 #include "sites/CorpusRunner.h"
 
+#include "support/WorkerPool.h"
+
 #include <algorithm>
-#include <atomic>
-#include <thread>
 
 using namespace wr;
 using namespace wr::sites;
@@ -81,34 +81,12 @@ CorpusStats wr::sites::runCorpus(const std::vector<GeneratedSite> &Corpus,
   for (size_t I = 0; I < Corpus.size(); ++I)
     Seeds.push_back(SeedGen.next());
 
-  if (Jobs == 0)
-    Jobs = std::max(1u, std::thread::hardware_concurrency());
-  Jobs = static_cast<unsigned>(
-      std::min<size_t>(Jobs, std::max<size_t>(Corpus.size(), 1)));
-
-  if (Jobs <= 1) {
-    for (size_t I = 0; I < Corpus.size(); ++I)
-      Stats.Sites.push_back(runSite(Corpus[I], Base, Seeds[I]));
-    return Stats;
-  }
-
-  // Thread-pool mode: workers claim sites through an atomic counter and
-  // write into pre-sized corpus-order slots, so aggregation never depends
-  // on completion order.
+  // Sites land in corpus-order slots, so aggregation never depends on
+  // completion order.
   Stats.Sites.resize(Corpus.size());
-  std::atomic<size_t> Next{0};
-  auto Worker = [&] {
-    for (size_t I = Next.fetch_add(1, std::memory_order_relaxed);
-         I < Corpus.size();
-         I = Next.fetch_add(1, std::memory_order_relaxed))
-      Stats.Sites[I] = runSite(Corpus[I], Base, Seeds[I]);
-  };
-  std::vector<std::thread> Pool;
-  Pool.reserve(Jobs);
-  for (unsigned T = 0; T < Jobs; ++T)
-    Pool.emplace_back(Worker);
-  for (std::thread &T : Pool)
-    T.join();
+  support::forEachIndex(Corpus.size(), Jobs, [&](size_t I) {
+    Stats.Sites[I] = runSite(Corpus[I], Base, Seeds[I]);
+  });
   return Stats;
 }
 

@@ -5,13 +5,12 @@
 #include "detect/Report.h"
 #include "obs/Reporter.h"
 #include "support/Format.h"
+#include "support/WorkerPool.h"
 
 #include <algorithm>
-#include <atomic>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
-#include <thread>
 #include <unordered_map>
 
 using namespace wr;
@@ -98,12 +97,8 @@ TraceIngest wr::triage::ingestTraceFile(const std::string &Path,
     In.Kept.push_back({Table.signature(Sig), toString(R.Loc)});
     KeptRaces.push_back(R);
   }
-  if (size_t Dropped = Result.FilteredRaces.size() - KeptRaces.size()) {
-    In.Stats.Attrition.Suppressed += Dropped;
-    In.Stats.Attrition.Kept -=
-        std::min<uint64_t>(Dropped, In.Stats.Attrition.Kept);
-    In.Stats.Filtered = detect::tally(KeptRaces);
-  }
+  In.Stats.Attrition.suppress(Result.FilteredRaces.size() - KeptRaces.size());
+  In.Stats.Filtered = detect::tally(KeptRaces);
 
   // Predicted-only findings get the same signature/suppression treatment;
   // their drops stay out of FilterAttrition (they never entered the
@@ -135,35 +130,12 @@ TraceIngest wr::triage::ingestTraceFile(const std::string &Path,
 BatchResult wr::triage::runBatch(const std::vector<std::string> &Paths,
                                  const BatchOptions &Opts) {
   BatchResult R;
+  // Traces land in input-order slots; no shared aggregate is touched
+  // until the sequential merge below.
   R.Traces.resize(Paths.size());
-
-  unsigned Jobs = Opts.Jobs;
-  if (Jobs == 0)
-    Jobs = std::max(1u, std::thread::hardware_concurrency());
-  Jobs = static_cast<unsigned>(
-      std::min<size_t>(Jobs, std::max<size_t>(Paths.size(), 1)));
-
-  if (Jobs <= 1) {
-    for (size_t I = 0; I < Paths.size(); ++I)
-      R.Traces[I] = ingestTraceFile(Paths[I], Opts);
-  } else {
-    // CorpusRunner's pool discipline: workers claim input indices through
-    // an atomic counter and write into input-order slots; no shared
-    // aggregate is touched until the sequential merge below.
-    std::atomic<size_t> Next{0};
-    auto Worker = [&] {
-      for (size_t I = Next.fetch_add(1, std::memory_order_relaxed);
-           I < Paths.size();
-           I = Next.fetch_add(1, std::memory_order_relaxed))
-        R.Traces[I] = ingestTraceFile(Paths[I], Opts);
-    };
-    std::vector<std::thread> Pool;
-    Pool.reserve(Jobs);
-    for (unsigned T = 0; T < Jobs; ++T)
-      Pool.emplace_back(Worker);
-    for (std::thread &T : Pool)
-      T.join();
-  }
+  support::forEachIndex(Paths.size(), Opts.Jobs, [&](size_t I) {
+    R.Traces[I] = ingestTraceFile(Paths[I], Opts);
+  });
 
   // Sequential merge in input order: group assignment, first-witness
   // provenance, and every counter are independent of completion order.

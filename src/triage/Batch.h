@@ -13,10 +13,11 @@
 /// actionable report" item.
 ///
 /// Determinism: trace files are sorted by path before any work starts,
-/// per-trace results land in input-order slots (the CorpusRunner thread
-/// -pool discipline - workers claim indices through an atomic counter and
-/// never touch shared aggregates), and the merge walks the slots
-/// sequentially. Group rank is (occurrences desc, signature text asc).
+/// per-trace results land in input-order slots (support/WorkerPool.h,
+/// shared with the corpus runner: workers claim indices through an
+/// atomic counter and never touch shared aggregates), and the merge walks
+/// the slots sequentially. Group rank is (occurrences desc, signature
+/// text asc).
 /// The emitted report is therefore byte-identical at any --jobs count.
 ///
 /// Attrition is never silent: unreadable traces are reported per path,

@@ -5,7 +5,6 @@
 #include "support/Format.h"
 #include "support/StringUtils.h"
 
-#include <algorithm>
 #include <fstream>
 #include <sstream>
 
@@ -177,7 +176,7 @@ int SuppressionFile::matchIndex(const RaceSignature &Sig) const {
 std::vector<detect::Race>
 wr::triage::applySuppressions(const std::vector<detect::Race> &Races,
                               const HbGraph &Hb, const SuppressionFile &File,
-                              detect::FilterCounts *Counts,
+                              obs::FilterAttrition *Attrition,
                               std::vector<uint64_t> *Hits) {
   if (Hits)
     Hits->resize(File.entries().size(), 0);
@@ -196,11 +195,7 @@ wr::triage::applySuppressions(const std::vector<detect::Race> &Races,
     if (Hits)
       ++(*Hits)[static_cast<size_t>(Idx)];
   }
-  if (Counts && Dropped) {
-    Counts->Suppressed += Dropped;
-    // The input was the pipeline's kept set; keep the invariant
-    // Input == drops + Kept intact.
-    Counts->Kept -= std::min(Dropped, Counts->Kept);
-  }
+  if (Attrition)
+    Attrition->suppress(Dropped);
   return Kept;
 }

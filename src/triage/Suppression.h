@@ -96,8 +96,8 @@ private:
 /// Drops every race in \p Races whose signature (computed against \p Hb)
 /// matches an entry of \p File, returning the survivors in order.
 ///
-/// Attrition is never silent: with \p Counts non-null, the drop count is
-/// added to Counts->Suppressed and removed from Counts->Kept (the races
+/// Attrition is never silent: with \p Attrition non-null, the drops move
+/// from its Kept to its Suppressed (FilterAttrition::suppress; the races
 /// handed in are the filter pipeline's kept set). With \p Hits non-null,
 /// it is resized to File.entries().size() and each drop increments the
 /// first matching entry's slot - callers merge these deterministically
@@ -105,7 +105,7 @@ private:
 std::vector<detect::Race>
 applySuppressions(const std::vector<detect::Race> &Races, const HbGraph &Hb,
                   const SuppressionFile &File,
-                  detect::FilterCounts *Counts = nullptr,
+                  obs::FilterAttrition *Attrition = nullptr,
                   std::vector<uint64_t> *Hits = nullptr);
 
 } // namespace wr::triage

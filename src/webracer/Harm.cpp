@@ -2,7 +2,6 @@
 
 #include "webracer/Harm.h"
 
-#include "detect/TraceReplay.h"
 #include "support/Format.h"
 
 using namespace wr;
@@ -251,9 +250,4 @@ HarmEvidence HarmAnalyzer::analyze(const Race &R, const HbGraph &Hb) {
     return analyzeDispatchRace(R, Hb);
   }
   return {HarmVerdict::Inconclusive, "unknown race kind"};
-}
-
-HarmEvidence HarmAnalyzer::analyze(const Race &R, const TraceLog &Trace) {
-  HbGraph Hb = detect::buildHbGraphFromTrace(Trace);
-  return analyze(R, Hb);
 }

@@ -67,12 +67,6 @@ public:
   /// \p Hb is that run's happens-before graph (for operation metadata).
   HarmEvidence analyze(const detect::Race &R, const HbGraph &Hb);
 
-  /// Offline variant: takes the race and the recorded trace of the run
-  /// that found it, reconstructing the happens-before graph from the
-  /// trace. The prior run's session does not need to be alive - races
-  /// recorded in one process can be classified in another.
-  HarmEvidence analyze(const detect::Race &R, const TraceLog &Trace);
-
   /// Number of replays executed so far.
   size_t replaysRun() const { return Replays; }
 

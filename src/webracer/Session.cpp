@@ -45,29 +45,28 @@ SessionResult Session::run(const std::string &Url) {
   }
 
   Result.RawRaces = D->races();
-  detect::FilterCounts Attrition;
+  obs::RunStats &S = Result.Stats;
   {
     obs::PhaseTimer Timer(&B->phaseStats(), obs::Phase::Filter);
     Result.FilteredRaces = detect::applyPaperFilters(
-        Result.RawRaces, dispatchCounts(), &Attrition);
+        Result.RawRaces, dispatchCounts(), &S.Attrition);
     // User suppressions run as the last filter stage: drops land in the
     // attrition record (never silent) and hit counts go back per entry.
     if (Opts.Suppressions && !Opts.Suppressions->empty())
       Result.FilteredRaces = triage::applySuppressions(
-          Result.FilteredRaces, B->hb(), *Opts.Suppressions, &Attrition,
+          Result.FilteredRaces, B->hb(), *Opts.Suppressions, &S.Attrition,
           &Result.SuppressionHits);
   }
   Result.Crashes = B->crashLog();
   Result.Alerts = B->alerts();
   Result.ParseErrors = B->parseErrorLog();
+  Result.CutBy = B->loop().cutBy();
 
-  obs::RunStats &S = Result.Stats;
   detect::collectStats(B->hb(), *D, S);
   S.InternedLocations = B->interner().size();
   S.InternHits = B->interner().hits();
   S.Raw = detect::tally(Result.RawRaces);
   S.Filtered = detect::tally(Result.FilteredRaces);
-  S.Attrition = detect::toAttrition(Attrition);
   S.TasksRun = B->loop().executedTasks();
   S.VirtualTimeUs = B->loop().now();
   S.Crashes = Result.Crashes.size();

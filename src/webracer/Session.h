@@ -88,6 +88,9 @@ struct SessionResult {
   std::vector<std::string> Crashes;
   std::vector<std::string> Alerts;
   std::vector<std::string> ParseErrors;
+  /// The event-loop bound that cut the run short (rt::EventLoop::cutBy),
+  /// or null when the page went idle on its own.
+  const char *CutBy = nullptr;
 };
 
 /// One detection run over one page. Construct, register resources on

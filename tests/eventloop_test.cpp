@@ -19,6 +19,7 @@ TEST(EventLoopTest, RunsInTimeOrder) {
   L.runUntilIdle();
   EXPECT_EQ(Order, (std::vector<int>{1, 2, 3}));
   EXPECT_EQ(L.now(), 300u);
+  EXPECT_EQ(L.cutBy(), nullptr);
 }
 
 TEST(EventLoopTest, FifoForEqualTimes) {
@@ -67,12 +68,30 @@ TEST(EventLoopTest, PastTimesClampToNow) {
 }
 
 TEST(EventLoopTest, TaskLimitStopsRunaway) {
+  // A timeout that reschedules itself with delay 0 never moves the
+  // clock, so only the task cap ends it; the pending task is dropped.
   EventLoop L;
-  L.setTaskLimit(50);
-  std::function<void()> Loop = [&] { L.scheduleAfter(1, Loop); };
-  L.scheduleAfter(1, Loop);
+  std::function<void()> Loop = [&] { L.scheduleAfter(0, Loop); };
+  L.scheduleAfter(0, Loop);
   size_t Ran = L.runUntilIdle();
-  EXPECT_EQ(Ran, 50u);
+  EXPECT_EQ(Ran, EventLoop::MaxTasks);
+  EXPECT_EQ(L.now(), 0u);
+  EXPECT_STREQ(L.cutBy(), "task cap");
+  EXPECT_EQ(L.pendingTasks(), 0u);
+  EXPECT_FALSE(L.runOne());
+}
+
+TEST(EventLoopTest, HorizonStopsNeverClearedInterval) {
+  // A 7 ms interval nobody clears runs until its next firing would fall
+  // past the virtual-time horizon.
+  EventLoop L;
+  std::function<void()> Tick = [&] { L.scheduleAfter(7000, Tick); };
+  L.scheduleAfter(7000, Tick);
+  size_t Ran = L.runUntilIdle();
+  EXPECT_EQ(Ran, EventLoop::Horizon / 7000);
+  EXPECT_LE(L.now(), EventLoop::Horizon);
+  EXPECT_STREQ(L.cutBy(), "virtual-time horizon");
+  EXPECT_EQ(L.pendingTasks(), 0u);
 }
 
 TEST(NetworkTest, DeliversBodyAfterLatency) {

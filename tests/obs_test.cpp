@@ -138,10 +138,6 @@ RunStats sampleStats(uint64_t Scale) {
   S.InternHits = 8 * Scale;
   S.EpochHits = 9 * Scale;
   S.ReadsSeen = 12 * Scale;
-  S.EpochReads = 13 * Scale;
-  S.ReadInflations = 14 * Scale;
-  S.ReadDeflations = 15 * Scale;
-  S.ReadVectorLocations = 16 * Scale;
   S.DetectorBytes = 17 * Scale;
   S.Raw.Variable = Scale;
   S.Filtered.Html = Scale;
@@ -188,10 +184,6 @@ RunStats everyFieldStats(uint64_t Base) {
   S.InternHits = V();
   S.EpochHits = V();
   S.ReadsSeen = V();
-  S.EpochReads = V();
-  S.ReadInflations = V();
-  S.ReadDeflations = V();
-  S.ReadVectorLocations = V();
   S.DetectorBytes = V();
   S.Sampling.Enabled = true;
   S.Sampling.RatePpm = V();

@@ -7,7 +7,7 @@
 //    identically everywhere.
 //  * Suppression files round-trip through parse/serialize, reject
 //    malformed input with line-numbered diagnostics, and drop races
-//    without silent attrition (counts land in FilterCounts, per-entry
+//    without silent attrition (counts land in FilterAttrition, per-entry
 //    hits let unmatched entries warn).
 //  * Batch ingest emits a byte-identical report at every job count, with
 //    and without prediction, and its counts reconcile with the replays'

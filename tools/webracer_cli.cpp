@@ -201,6 +201,16 @@ void printPredictionSummary(
                 static_cast<unsigned long long>(P.DroppedEdges));
 }
 
+/// Names the event-loop bound that cut a page run short (a page that
+/// never goes idle), so a cut run is not mistaken for a finished one.
+void warnIfCut(const webracer::SessionResult &R) {
+  if (R.CutBy)
+    std::fprintf(stderr,
+                 "warning: the run reached the event loop's %s; later "
+                 "tasks were dropped\n",
+                 R.CutBy);
+}
+
 /// True when \p Index names a regular file; otherwise prints the error.
 /// Checked before any resource walk: a directory would load as an empty
 /// page with every file under its parent served beside it.
@@ -505,14 +515,9 @@ int replayMain(const CliOptions &O) {
   Opts.Predict = O.Predict;
   detect::ReplayResult R = detect::replayTrace(Log, Opts);
   if (HaveSuppressions) {
-    detect::FilterCounts Counts;
-    Counts.Kept = static_cast<size_t>(R.Stats.Attrition.Kept);
     std::vector<uint64_t> Hits;
-    R.FilteredRaces = triage::applySuppressions(R.FilteredRaces, R.Hb,
-                                                Suppressions, &Counts,
-                                                &Hits);
-    R.Stats.Attrition.Suppressed += Counts.Suppressed;
-    R.Stats.Attrition.Kept = Counts.Kept;
+    R.FilteredRaces = triage::applySuppressions(
+        R.FilteredRaces, R.Hb, Suppressions, &R.Stats.Attrition, &Hits);
     R.Stats.Filtered = detect::tally(R.FilteredRaces);
     warnUnmatchedSuppressions(Suppressions, Hits);
   }
@@ -648,13 +653,11 @@ int crossCheckMain(const CliOptions &O) {
     return A.Races.empty() ? 0 : 1;
   }
 
-  analysis::CrossCheckOptions CkOpts;
-  CkOpts.Session.Browser.Seed = O.Seed;
-  CkOpts.Session.AutoExplore = O.Explore;
-  // Measure against everything the dynamic semantics produced; the
-  // Sec. 5.3 filters are reporting refinements, not ground truth.
-  CkOpts.UseFilteredRaces = false;
-  analysis::CrossCheckResult R = analysis::crossCheck(Page, CkOpts);
+  webracer::SessionOptions Opts;
+  Opts.Browser.Seed = O.Seed;
+  Opts.AutoExplore = O.Explore;
+  analysis::CrossCheckResult R = analysis::crossCheck(Page, Opts);
+  warnIfCut(R.Dynamic);
 
   if (O.Precision) {
     std::printf("webracer: static precision of %s (%zu resources, seed "
@@ -756,6 +759,7 @@ int pageMain(const CliOptions &O) {
               IndexUrl.c_str(), Registered,
               static_cast<unsigned long long>(O.Seed));
   webracer::SessionResult R = S.run(IndexUrl);
+  warnIfCut(R);
   if (HaveSuppressions)
     warnUnmatchedSuppressions(Suppressions, R.SuppressionHits);
 
