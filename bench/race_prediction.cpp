@@ -29,6 +29,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -51,12 +52,13 @@ webracer::SessionResult runSpec(const sites::SiteSpec &Spec,
   return S.run(Site.IndexUrl);
 }
 
-const PredictionResult *findEngine(const webracer::SessionResult &R,
-                                   EngineKind Kind) {
-  for (const PredictionResult &P : R.Predictions)
+/// \p Kind's pass of \p R, materialized against the session's trace.
+std::optional<PredictionResult> findEngine(const webracer::SessionResult &R,
+                                           EngineKind Kind) {
+  for (const PredictionPass &P : R.Predictions)
     if (P.Engine == Kind)
-      return &P;
-  return nullptr;
+      return materialize(*R.Trace, P);
+  return std::nullopt;
 }
 
 using RaceKey = std::tuple<std::string, OpId, OpId>;
@@ -99,8 +101,8 @@ int main(int Argc, char **Argv) {
     Opts.Predict = true;
     webracer::SessionResult R = runSpec(Spec, Opts);
 
-    const PredictionResult *Shb = findEngine(R, EngineKind::Shb);
-    const PredictionResult *Wcp = findEngine(R, EngineKind::Wcp);
+    std::optional<PredictionResult> Shb = findEngine(R, EngineKind::Shb);
+    std::optional<PredictionResult> Wcp = findEngine(R, EngineKind::Wcp);
     if (!Shb || !Wcp) {
       std::printf("FAIL: %s missing prediction passes (%zu present)\n",
                   toString(Kind), R.Predictions.size());

@@ -32,17 +32,18 @@ size_t PredictionResult::predictedCount() const {
 namespace {
 
 /// Folds one pass's findings into the report schema's wr_prediction row.
-obs::PredictionRow toStatsRow(const PredictionResult &Result) {
+obs::PredictionRow toStatsRow(const PredictionPass &Pass) {
   obs::PredictionRow Row;
-  Row.Engine = wr::toString(Result.Engine);
-  Row.PairsChecked = Result.PairsChecked;
-  Row.DroppedEdges = Result.DroppedEdges;
-  Row.Candidates = Result.Races.size();
-  Row.Observed = Result.observedMatched();
-  for (const PredictedRace &P : Result.Races) {
-    if (P.Verdict != PredictionVerdict::Predicted)
+  Row.Engine = wr::toString(Pass.Engine);
+  Row.PairsChecked = Pass.PairsChecked;
+  Row.DroppedEdges = Pass.DroppedEdges;
+  Row.Candidates = Pass.Pairs.size();
+  for (const PredictedPair &P : Pass.Pairs) {
+    if (P.Verdict != PredictionVerdict::Predicted) {
+      ++Row.Observed;
       continue;
-    switch (P.R.Kind) {
+    }
+    switch (P.Kind) {
     case RaceKind::Variable:
       ++Row.Predicted.Variable;
       break;
@@ -133,20 +134,12 @@ struct LocHistory {
   std::vector<uint32_t> Writes;
 };
 
-/// A deduplicated finding before it becomes a PredictedRace.
-struct Finding {
-  uint32_t FirstEvent = 0;
-  uint32_t SecondEvent = 0;
-  bool WriteHadPriorReadInOp = false;
-  bool Observed = false;
-};
-
 } // namespace
 
-PredictionResult wr::detect::predictRaces(const TraceLog &Log,
-                                          EngineKind Engine,
-                                          const std::vector<Race> &ObservedRaw) {
-  PredictionResult Result;
+PredictionPass wr::detect::predictRaces(const TraceLog &Log,
+                                        EngineKind Engine,
+                                        const std::vector<Race> &ObservedRaw) {
+  PredictionPass Result;
   Result.Engine = Engine;
 
   std::unique_ptr<PredictiveEngine> Owned;
@@ -173,7 +166,6 @@ PredictionResult wr::detect::predictRaces(const TraceLog &Log,
 
   std::vector<LocHistory> Histories(Log.interner().size());
   PairSet Seen;
-  std::vector<Finding> Findings;
 
   for (uint32_t Index = 0; Index < Events.size(); ++Index) {
     const TraceEvent &E = Events[Index];
@@ -193,7 +185,7 @@ PredictionResult wr::detect::predictRaces(const TraceLog &Log,
       // away the very pair being asked about. Read-read pairs never
       // conflict, so a read scans only the prior writes; either way the
       // conflicting pairs come up in trace order.
-      size_t FirstFinding = Findings.size();
+      size_t FirstFinding = Result.Pairs.size();
       bool OwnPriorRead = false; // This write's op read the location.
       auto Check = [&](const HistoryEntry &Prior) {
         if (Prior.Op == A.Op) {
@@ -206,8 +198,13 @@ PredictionResult wr::detect::predictRaces(const TraceLog &Log,
         uint64_t Ops = packPair(Prior.Op, A.Op);
         if (!Seen.insert(A.Loc, Ops))
           return;
-        Findings.push_back({Prior.Event, Index, Prior.HadPriorRead,
-                            Observed.contains(A.Loc, Ops)});
+        const Access &First = Events[Prior.Event].Mem;
+        Result.Pairs.push_back(
+            {Prior.Event, Index,
+             classifyRace(First, A, Log.interner().resolve(A.Loc)),
+             Prior.HadPriorRead,
+             Observed.contains(A.Loc, Ops) ? PredictionVerdict::Observed
+                                           : PredictionVerdict::Predicted});
       };
       if (Write)
         for (const HistoryEntry &Prior : H.Accesses)
@@ -216,8 +213,8 @@ PredictionResult wr::detect::predictRaces(const TraceLog &Log,
         for (uint32_t Pos : H.Writes)
           Check(H.Accesses[Pos]);
       if (OwnPriorRead)
-        for (size_t I = FirstFinding; I < Findings.size(); ++I)
-          Findings[I].WriteHadPriorReadInOp = true;
+        for (size_t I = FirstFinding; I < Result.Pairs.size(); ++I)
+          Result.Pairs[I].WriteHadPriorReadInOp = true;
       PO.onMemoryAccess(A);
       if (Write)
         H.Writes.push_back(static_cast<uint32_t>(H.Accesses.size()));
@@ -231,26 +228,13 @@ PredictionResult wr::detect::predictRaces(const TraceLog &Log,
     }
   }
 
-  Result.Races.resize(Findings.size());
-  for (size_t I = 0; I < Findings.size(); ++I) {
-    const Finding &F = Findings[I];
-    PredictedRace &P = Result.Races[I];
-    P.R.First = Events[F.FirstEvent].Mem;
-    P.R.Second = Events[F.SecondEvent].Mem;
-    P.R.Loc = Log.interner().resolve(P.R.Second.Loc);
-    P.R.Kind = classifyRace(P.R.First, P.R.Second, P.R.Loc);
-    P.R.WriteHadPriorReadInOp = F.WriteHadPriorReadInOp;
-    P.Verdict = F.Observed ? PredictionVerdict::Observed
-                           : PredictionVerdict::Predicted;
-  }
-
   Result.DroppedEdges = PO.droppedEdges();
   return Result;
 }
 
 void wr::detect::predictAll(const TraceLog &Log,
                             const std::vector<Race> &ObservedRaw,
-                            std::vector<PredictionResult> &Results,
+                            std::vector<PredictionPass> &Passes,
                             obs::RunStats &Stats) {
   // Held on the heap on purpose: batch ingest's peak RSS moves by up to a
   // quarter with heap layout alone (glibc's dynamic mmap threshold), and
@@ -258,7 +242,28 @@ void wr::detect::predictAll(const TraceLog &Log,
   // to 50 MB on one checkout path.
   const std::vector<EngineKind> Engines = {EngineKind::Shb, EngineKind::Wcp};
   for (EngineKind Engine : Engines) {
-    Results.push_back(predictRaces(Log, Engine, ObservedRaw));
-    Stats.Prediction.push_back(toStatsRow(Results.back()));
+    Passes.push_back(predictRaces(Log, Engine, ObservedRaw));
+    Stats.Prediction.push_back(toStatsRow(Passes.back()));
   }
+}
+
+PredictionResult wr::detect::materialize(const TraceLog &Log,
+                                         const PredictionPass &Pass) {
+  PredictionResult Result;
+  Result.Engine = Pass.Engine;
+  Result.PairsChecked = Pass.PairsChecked;
+  Result.DroppedEdges = Pass.DroppedEdges;
+  const std::vector<TraceEvent> &Events = Log.events();
+  Result.Races.resize(Pass.Pairs.size());
+  for (size_t I = 0; I < Pass.Pairs.size(); ++I) {
+    const PredictedPair &Pair = Pass.Pairs[I];
+    PredictedRace &P = Result.Races[I];
+    P.R.Kind = Pair.Kind;
+    P.R.First = Events[Pair.FirstEvent].Mem;
+    P.R.Second = Events[Pair.SecondEvent].Mem;
+    P.R.Loc = Log.interner().resolve(P.R.Second.Loc);
+    P.R.WriteHadPriorReadInOp = Pair.WriteHadPriorReadInOp;
+    P.Verdict = Pair.Verdict;
+  }
+  return Result;
 }

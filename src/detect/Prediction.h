@@ -21,6 +21,15 @@
 /// Predicted - the per-trace value the engine adds over the single
 /// observed schedule.
 ///
+/// A pass keeps each finding as a 12-byte PredictedPair: two indices into
+/// the trace's events plus the race kind, the form-filter flag and the
+/// verdict, with no strings. The SHB pass flags every later conflicting
+/// pair, hundreds of thousands per corpus run, and most callers only
+/// count them (the wr_prediction row) or sign them (batch ingest), so a
+/// full PredictedRace - a copied Location and two Accesses - is built
+/// only where a report prints one, by materialize(). The trace the
+/// indices point into must outlive the pass.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef WEBRACER_DETECT_PREDICTION_H
@@ -44,13 +53,42 @@ enum class PredictionVerdict : uint8_t {
 
 const char *toString(PredictionVerdict Verdict);
 
-/// One race found by the predictive pass.
+/// One race found by the predictive pass, as event indices into the
+/// trace the pass ran over. The location is the second access's: both
+/// accesses touch it.
+struct PredictedPair {
+  uint32_t FirstEvent = 0;  ///< The earlier access's TraceLog::events() index.
+  uint32_t SecondEvent = 0; ///< The access whose check flagged the pair.
+  RaceKind Kind = RaceKind::Variable;
+  /// The form-filter flag: a racing write's operation had read the
+  /// location first (Race::WriteHadPriorReadInOp).
+  bool WriteHadPriorReadInOp = false;
+  PredictionVerdict Verdict = PredictionVerdict::Predicted;
+};
+
+static_assert(sizeof(PredictedPair) == 12,
+              "a pass holds one pair per finding; keep it two indices and "
+              "three bytes");
+
+/// Everything one engine's pass over one trace produced.
+struct PredictionPass {
+  EngineKind Engine = EngineKind::Shb;
+  /// Deduplicated findings in trace order (first flagged occurrence wins).
+  std::vector<PredictedPair> Pairs;
+  /// Conflicting cross-operation pairs the pass posed to the engine.
+  uint64_t PairsChecked = 0;
+  /// HB edges the engine's order dropped (WCP weakening; 0 otherwise).
+  uint64_t DroppedEdges = 0;
+};
+
+/// One race found by the predictive pass, with its location and both
+/// accesses copied out of the trace.
 struct PredictedRace {
   Race R;
   PredictionVerdict Verdict = PredictionVerdict::Predicted;
 };
 
-/// Everything one engine's pass over one trace produced.
+/// A pass in the report's shape: every pair built into a PredictedRace.
 struct PredictionResult {
   EngineKind Engine = EngineKind::Shb;
   /// Deduplicated races in trace order (first flagged occurrence wins).
@@ -67,14 +105,18 @@ struct PredictionResult {
 /// Runs the predictive pass over \p Log under \p Engine. \p ObservedRaw
 /// is the observed run's raw race list (online or replayed); it only
 /// labels verdicts, it never adds races.
-PredictionResult predictRaces(const TraceLog &Log, EngineKind Engine,
-                              const std::vector<Race> &ObservedRaw);
+PredictionPass predictRaces(const TraceLog &Log, EngineKind Engine,
+                            const std::vector<Race> &ObservedRaw);
 
 /// A prediction run: the SHB pass, then the WCP pass, over \p Log, so
-/// the report carries the two deltas side by side. Appends each pass's
-/// result to \p Results and its wr_prediction row to \p Stats.
+/// the report carries the two deltas side by side. Appends each pass to
+/// \p Passes and its wr_prediction row to \p Stats.
 void predictAll(const TraceLog &Log, const std::vector<Race> &ObservedRaw,
-                std::vector<PredictionResult> &Results, obs::RunStats &Stats);
+                std::vector<PredictionPass> &Passes, obs::RunStats &Stats);
+
+/// Builds \p Pass's findings into PredictedRaces, in order. \p Log must
+/// be the trace the pass ran over.
+PredictionResult materialize(const TraceLog &Log, const PredictionPass &Pass);
 
 } // namespace wr::detect
 

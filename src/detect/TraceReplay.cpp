@@ -117,7 +117,11 @@ ReplayResult wr::detect::replayTrace(const TraceLog &Log,
   S.Filtered = tally(Result.FilteredRaces);
   S.Crashes = Crashes;
 
-  if (Opts.Predict)
-    predictAll(Log, Result.RawRaces, Result.Predictions, S);
+  if (Opts.Predict) {
+    std::vector<PredictionPass> Passes;
+    predictAll(Log, Result.RawRaces, Passes, S);
+    for (const PredictionPass &P : Passes)
+      Result.Predictions.push_back(materialize(Log, P));
+  }
   return Result;
 }

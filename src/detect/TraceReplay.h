@@ -35,8 +35,8 @@ namespace wr::detect {
 /// Configuration for one offline detection run. The observed-race pass
 /// always replays under happens-before (byte-identical to the online
 /// run); Predict adds the SHB and WCP passes of detect/Prediction.h,
-/// whose results land in ReplayResult::Predictions and the stats'
-/// wr_prediction rows.
+/// whose findings land, materialized, in ReplayResult::Predictions and
+/// the stats' wr_prediction rows.
 struct ReplayOptions {
   DetectorOptions Detector;
   /// Run the SHB, then the WCP, predictive pass after the observed one.
@@ -57,7 +57,11 @@ struct ReplayResult {
   /// (describeRaces) and offline harm analysis.
   HbGraph Hb;
   /// Predictive passes' findings, one entry per engine run (empty when
-  /// prediction was off). Mirrored into Stats.Prediction.
+  /// prediction was off), each materialized into PredictedRaces because
+  /// the `replay --json` report and bench/perf read the races (ROADMAP
+  /// item 8 moves bench/perf to the passes). Callers that only count or
+  /// sign findings run predictAll on their own TraceLog instead
+  /// (triage::ingestTraceFile). Mirrored into Stats.Prediction.
   std::vector<PredictionResult> Predictions;
 };
 

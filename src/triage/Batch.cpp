@@ -62,9 +62,17 @@ TraceIngest wr::triage::ingestTraceFile(const std::string &Path,
   }
   Log.setSource(Path);
 
-  detect::ReplayResult Result = detect::replayTrace(Log, Opts.Replay);
+  // The replay runs without prediction; the passes run here instead, on
+  // this trace, so their findings stay event-index pairs and are signed
+  // straight out of the trace's events.
+  detect::ReplayOptions Observe = Opts.Replay;
+  Observe.Predict = false;
+  detect::ReplayResult Result = detect::replayTrace(Log, Observe);
   In.Ok = true;
   In.Stats = std::move(Result.Stats);
+  std::vector<detect::PredictionPass> Passes;
+  if (Opts.Replay.Predict)
+    detect::predictAll(Log, Result.RawRaces, Passes, In.Stats);
 
   // Sign the kept observed races; suppression drops are counted, never
   // silent - they land in this trace's FilterAttrition (and so in every
@@ -107,19 +115,22 @@ TraceIngest wr::triage::ingestTraceFile(const std::string &Path,
   // predicted signatures.
   constexpr uint32_t NoSlot = ~0u;
   std::vector<uint32_t> SlotOf; // By table index.
-  for (const detect::PredictionResult &P : Result.Predictions) {
-    for (const detect::PredictedRace &PR : P.Races) {
-      if (PR.Verdict != detect::PredictionVerdict::Predicted)
+  const std::vector<TraceEvent> &Events = Log.events();
+  for (const detect::PredictionPass &P : Passes) {
+    for (const detect::PredictedPair &Pair : P.Pairs) {
+      if (Pair.Verdict != detect::PredictionVerdict::Predicted)
         continue;
-      uint32_t Sig = Table.sign(PR.R);
+      const Access &Second = Events[Pair.SecondEvent].Mem;
+      const Location &Loc = Log.interner().resolve(Second.Loc);
+      uint32_t Sig =
+          Table.sign(Pair.Kind, Events[Pair.FirstEvent].Mem, Second, Loc);
       if (Suppressed(Sig))
         continue;
       if (Sig >= SlotOf.size())
         SlotOf.resize(Table.size(), NoSlot);
       if (SlotOf[Sig] == NoSlot) {
         SlotOf[Sig] = static_cast<uint32_t>(In.PredictedSignatures.size());
-        In.PredictedSignatures.push_back(
-            {Table.signature(Sig), toString(PR.R.Loc)});
+        In.PredictedSignatures.push_back({Table.signature(Sig), toString(Loc)});
       }
       In.Predicted.push_back(SlotOf[Sig]);
     }

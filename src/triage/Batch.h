@@ -12,6 +12,13 @@
 /// "same Southwest-form race from 10^6 user traces must become one
 /// actionable report" item.
 ///
+/// With prediction on, ingest replays the observed run alone and runs the
+/// SHB and WCP passes itself on the decoded trace: a pass keeps each
+/// finding as an event-index pair (detect/Prediction.h), and ingest signs
+/// each predicted-only pair from the trace's own events and location
+/// table, so the tens of thousands of findings per trace never become
+/// Race objects.
+///
 /// Determinism: trace files are sorted by path before any work starts,
 /// per-trace results land in input-order slots (support/WorkerPool.h,
 /// shared with the corpus runner: workers claim indices through an
@@ -47,7 +54,8 @@ struct BatchOptions {
   /// Worker threads; 0 uses the hardware concurrency. The report is
   /// byte-identical for every value.
   unsigned Jobs = 1;
-  /// Per-trace replay configuration (engine, prediction, detector mode).
+  /// Per-trace replay configuration. With Predict set, ingest runs the
+  /// prediction passes itself on the decoded trace (see the file comment).
   detect::ReplayOptions Replay;
   /// Optional suppressions; applied to observed and predicted races
   /// alike. Must outlive the run.

@@ -203,30 +203,34 @@ RaceSignature wr::triage::computeSignature(const detect::Race &R,
 }
 
 uint32_t SignatureTable::sign(const detect::Race &R) {
-  uint32_t A = endpointOf(R.First);
-  uint32_t B = endpointOf(R.Second);
-  Key K{static_cast<uint32_t>(R.Kind), patternOf(R), std::min(A, B),
-        std::max(A, B)};
+  return sign(R.Kind, R.First, R.Second, R.Loc);
+}
+
+uint32_t SignatureTable::sign(detect::RaceKind Kind, const Access &First,
+                              const Access &Second, const Location &Loc) {
+  uint32_t A = endpointOf(First);
+  uint32_t B = endpointOf(Second);
+  Key K{static_cast<uint32_t>(Kind), patternOf(Second.Loc, Loc),
+        std::min(A, B), std::max(A, B)};
   auto [It, Inserted] =
       SignatureOf.try_emplace(K, static_cast<uint32_t>(Signatures.size()));
   if (Inserted)
     Signatures.push_back(
-        assemble(R.Kind, Patterns[K.Pattern], Endpoints[A], Endpoints[B]));
+        assemble(Kind, Patterns[K.Pattern], Endpoints[A], Endpoints[B]));
   return It->second;
 }
 
-uint32_t SignatureTable::patternOf(const detect::Race &R) {
-  // The detector and the predictive passes both resolve R.Loc from the
-  // second access's LocId; hand-built races without one are signed
-  // directly.
-  LocId Loc = R.Second.Loc;
-  if (Loc == InvalidLocId)
-    return internPattern(locationPattern(R.Loc));
-  if (Loc >= PatternOfLoc.size())
-    PatternOfLoc.resize(static_cast<size_t>(Loc) + 1, NoId);
-  if (PatternOfLoc[Loc] == NoId)
-    PatternOfLoc[Loc] = internPattern(locationPattern(R.Loc));
-  return PatternOfLoc[Loc];
+uint32_t SignatureTable::patternOf(LocId Id, const Location &Loc) {
+  // The detector and the predictive passes both resolve a race's Location
+  // from the second access's LocId; hand-built races without one are
+  // signed directly.
+  if (Id == InvalidLocId)
+    return internPattern(locationPattern(Loc));
+  if (Id >= PatternOfLoc.size())
+    PatternOfLoc.resize(static_cast<size_t>(Id) + 1, NoId);
+  if (PatternOfLoc[Id] == NoId)
+    PatternOfLoc[Id] = internPattern(locationPattern(Loc));
+  return PatternOfLoc[Id];
 }
 
 uint32_t SignatureTable::internPattern(std::string Pattern) {

@@ -44,8 +44,11 @@
 /// every race of one trace and computes each distinct signature once: a
 /// predicted pass yields thousands of findings per trace that share a
 /// handful of signatures, and rebuilding the component strings per finding
-/// is what dominated batch ingest. Both go through the same component
-/// helpers, so each component is defined once.
+/// is what dominated batch ingest. The table also signs a finding from its
+/// parts - kind, both accesses and the location - so batch ingest signs a
+/// prediction pass's event-index pairs straight out of the trace, with no
+/// Race built per finding. Both go through the same component helpers, so
+/// each component is defined once.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -119,6 +122,13 @@ public:
   /// The index of \p R's signature; equal to computeSignature(R, Hb).
   uint32_t sign(const detect::Race &R);
 
+  /// The index of the signature of a \p Kind race between \p First and
+  /// \p Second on \p Loc, which must be what Second.Loc resolves to (or
+  /// anything, when Second.Loc is InvalidLocId). Equal to sign() of the
+  /// Race with those fields.
+  uint32_t sign(detect::RaceKind Kind, const Access &First,
+                const Access &Second, const Location &Loc);
+
   const RaceSignature &signature(uint32_t Index) const {
     return Signatures[Index];
   }
@@ -134,7 +144,7 @@ private:
     auto operator<=>(const Key &O) const = default;
   };
 
-  uint32_t patternOf(const detect::Race &R);
+  uint32_t patternOf(LocId Id, const Location &Loc);
   uint32_t internPattern(std::string Pattern);
   uint32_t endpointOf(const Access &A);
 

@@ -76,7 +76,9 @@ obs::Json wr::webracer::buildRunReport(const std::string &Name,
     Timing.set("phases_wall_ms", R.Stats.Phases.wallJson());
     Doc.set("timing", std::move(Timing));
   }
-  Doc.set("races",
-          racesToJson(R.RawRaces, R.FilteredRaces, R.Predictions, Hb));
+  std::vector<detect::PredictionResult> Predictions;
+  for (const detect::PredictionPass &P : R.Predictions)
+    Predictions.push_back(detect::materialize(*R.Trace, P));
+  Doc.set("races", racesToJson(R.RawRaces, R.FilteredRaces, Predictions, Hb));
   return Doc;
 }

@@ -40,7 +40,8 @@ obs::Json racesToJson(const std::vector<detect::Race> &Raw,
 /// The full report document for one run. \p IncludeTiming adds the
 /// wall-clock section; leave it off when the report must be byte-stable
 /// (golden tests, cross-job comparison). "races" is the last key so text
-/// renderings end with the race listing.
+/// renderings end with the race listing; it materializes the session's
+/// prediction passes against R.Trace.
 obs::Json buildRunReport(const std::string &Name, const SessionResult &R,
                          const HbGraph &Hb, bool IncludeTiming = false);
 

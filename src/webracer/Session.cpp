@@ -18,7 +18,7 @@ Session::Session(SessionOptions Options) : Opts(Options) {
   D->setPhaseStats(&B->phaseStats());
   B->addSink(D.get());
   if (Opts.RecordTrace || Opts.Predict) {
-    Trace = std::make_unique<TraceLog>();
+    Trace = std::make_shared<TraceLog>();
     B->addSink(Trace.get());
   }
 }
@@ -61,6 +61,7 @@ SessionResult Session::run(const std::string &Url) {
   Result.Alerts = B->alerts();
   Result.ParseErrors = B->parseErrorLog();
   Result.CutBy = B->loop().cutBy();
+  Result.Trace = Trace;
 
   detect::collectStats(B->hb(), *D, S);
   S.InternedLocations = B->interner().size();

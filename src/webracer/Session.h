@@ -10,6 +10,12 @@
 /// returns raw and filtered race reports with run statistics. This is the
 /// WEBRACER tool of the paper's Section 5 as a library.
 ///
+/// With SessionOptions::Predict set, the result also carries the SHB and
+/// WCP passes as event-index pairs (detect/Prediction.h) plus a shared
+/// handle on the recorded trace they index, so a caller that prints the
+/// predicted races - buildRunReport for `page --json` - materializes them
+/// and every other caller keeps 12 bytes per finding.
+///
 /// Typical use:
 /// \code
 ///   webracer::SessionOptions Opts;
@@ -78,9 +84,13 @@ struct SessionResult {
   /// reachability counters, detector and filter attrition figures, event
   /// loop totals, and phase timings.
   obs::RunStats Stats;
-  /// Predictive passes' findings, one entry per engine run (empty when
-  /// prediction was off). Mirrored into Stats.Prediction.
-  std::vector<detect::PredictionResult> Predictions;
+  /// Predictive passes, one entry per engine run (empty when prediction
+  /// was off); their pairs index into Trace's events. Mirrored into
+  /// Stats.Prediction.
+  std::vector<detect::PredictionPass> Predictions;
+  /// The session's own recording, or null when it recorded nothing.
+  /// Shared, so the passes can be materialized after the Session is gone.
+  std::shared_ptr<const TraceLog> Trace;
   /// Per-suppression-entry hit counts (parallel to the suppression
   /// file's entries; empty when no file was supplied). Zero-hit entries
   /// are the caller's unmatched-suppression warnings.
@@ -116,7 +126,7 @@ private:
   SessionOptions Opts;
   std::unique_ptr<rt::Browser> B;
   std::unique_ptr<detect::RaceDetector> D;
-  std::unique_ptr<TraceLog> Trace;
+  std::shared_ptr<TraceLog> Trace;
 };
 
 } // namespace wr::webracer

@@ -341,7 +341,7 @@ TEST_F(DetectorTest, ReportedLocationSkipsOracleEntirely) {
   EXPECT_EQ(D.races().size(), 1u);
 }
 
-TEST_F(DetectorTest, SameEpochReReadStaysEpochRepresentation) {
+TEST_F(DetectorTest, ReadsBySameOrOrderedOpsNeverRace) {
   // Re-reads by the same operation and reads by an ordered successor
   // never race: reads only check LastWrite, which is unset.
   OpId A = op(), B = op();
@@ -353,7 +353,7 @@ TEST_F(DetectorTest, SameEpochReReadStaysEpochRepresentation) {
   EXPECT_TRUE(D.races().empty());
 }
 
-TEST_F(DetectorTest, ConcurrentReadInflatesAndDominatingWriteDeflates) {
+TEST_F(DetectorTest, WriteOrderedAfterConcurrentReadersDoesNotRace) {
   OpId A = op(), B = op(), C = op(), E = op();
   edge(A, C);
   edge(B, C);
@@ -383,7 +383,7 @@ TEST_F(DetectorTest, WriteAfterConcurrentReadsStillRacesWhenUnordered) {
   EXPECT_EQ(D.chcQueries(), 0u);       // All answered by epoch probes.
 }
 
-TEST_F(DetectorTest, DeflationShortcutSkipsReadCheckSoundly) {
+TEST_F(DetectorTest, WriteRacesOnlyWhenConcurrentWithLastWriteOrRead) {
   // A write ordered after LastWrite, which is itself ordered after every
   // read, races with nothing; a write concurrent with everything races.
   OpId A = op(), B = op(), C = op(), E = op();
@@ -402,19 +402,19 @@ TEST_F(DetectorTest, DeflationShortcutSkipsReadCheckSoundly) {
   EXPECT_EQ(D.chcQueries(), 0u);
 }
 
-TEST_F(DetectorTest, InlineDispatchNestedReadDoesNotInflate) {
+TEST_F(DetectorTest, NestedReadInDescendingOpOrderDoesNotRace) {
   // Inline event dispatch nests operations, so a location's reads can
   // arrive in descending op order; two ordered reads never race.
   OpId A = op(), B = op();
   edge(A, B);
   RaceDetector D(Hb, Interner);
-  D.onMemoryAccess(read(B, "x")); // The nested (newer) op reads first.
-  D.onMemoryAccess(read(A, "x")); // Its caller reads after returning? No:
-  // replay order, A's read streams later but A happens-before B.
+  D.onMemoryAccess(read(B, "x")); // The nested (newer) op reads first,
+  D.onMemoryAccess(read(A, "x")); // then its caller A, after B returns.
+  // A happens-before B although its read streams later.
   EXPECT_TRUE(D.races().empty());
 }
 
-TEST_F(DetectorTest, DetectorBytesCountsInflatedStorage) {
+TEST_F(DetectorTest, DetectorBytesCountReaderSetSpill) {
   RaceDetector D(Hb, Interner);
   // Two readers fit the reader set's inline slots; five mutually
   // concurrent readers spill it to the heap, and the spill must show up

@@ -6,11 +6,12 @@
 //
 // detect::predictRaces answers each access from a per-location index (a
 // dense history of event indices, reads scanning only prior writes, a
-// flat deduplication set). This file keeps the straightforward
-// full-history pass it replaced as the reference and checks the two
-// produce identical results - every PredictedRace field (Detail strings,
-// the form-filter flag, the verdict) in the same order, plus PairsChecked
-// and DroppedEdges - under the shb and wcp orders, over:
+// flat deduplication set) and keeps each finding as an event-index pair.
+// This file keeps the straightforward full-history pass it replaced,
+// which builds every race as it goes, as the reference and checks that
+// the pairs materialize to identical results - every PredictedRace field
+// (Detail strings, the form-filter flag, the verdict) in the same order,
+// plus PairsChecked and DroppedEdges - under the shb and wcp orders, over:
 //
 //  * recorded seed-2012 corpus sites;
 //  * the figure pages and the false-positive page;
@@ -18,6 +19,11 @@
 //    older ones, run one at a time with nested operations inside, over a
 //    small location pool so the same operation touches a location
 //    repeatedly and reads before writing it.
+//
+// It also checks the two shapes a prediction run hands out agree: a
+// session's passes, materialized through the trace its result shares
+// after the session is gone, equal a replay's materialized predictions
+// of that trace, wr_prediction rows included.
 //
 //===----------------------------------------------------------------------===//
 
@@ -235,7 +241,8 @@ void expectMatchesReference(const TraceLog &Log,
                             const std::string &Label, Coverage &Cov) {
   for (EngineKind Engine : Engines) {
     PredictionResult Want = referencePredictRaces(Log, Engine, Observed);
-    PredictionResult Got = predictRaces(Log, Engine, Observed);
+    PredictionResult Got =
+        materialize(Log, predictRaces(Log, Engine, Observed));
     EXPECT_TRUE(sameResult(Want, Got))
         << Label << " under " << toString(Engine);
     Cov.add(Got);
@@ -287,6 +294,69 @@ TEST(PredictionOracleTest, FigurePagesMatchReference) {
   }
   EXPECT_GT(Cov.Races, 0u);
   EXPECT_GT(Cov.Observed, 0u);
+}
+
+//===----------------------------------------------------------------------===//
+// Session passes vs replay predictions
+//===----------------------------------------------------------------------===//
+
+void expectSessionMatchesReplay(const webracer::SessionResult &R,
+                                const std::string &Label, Coverage &Cov) {
+  ASSERT_TRUE(R.Trace) << Label;
+  ReplayOptions Opts;
+  Opts.Predict = true;
+  ReplayResult Replay = replayTrace(*R.Trace, Opts);
+  ASSERT_EQ(R.Predictions.size(), 2u) << Label;
+  ASSERT_EQ(Replay.Predictions.size(), 2u) << Label;
+  for (size_t I = 0; I < R.Predictions.size(); ++I) {
+    PredictionResult Got = materialize(*R.Trace, R.Predictions[I]);
+    EXPECT_TRUE(sameResult(Replay.Predictions[I], Got))
+        << Label << " under " << toString(Got.Engine);
+    Cov.add(Got);
+  }
+  EXPECT_EQ(R.Stats.Prediction, Replay.Stats.Prediction) << Label;
+}
+
+TEST(PredictionSessionTest, SessionPassesMaterializeToReplayPredictions) {
+  // Each result is read after its Session is destroyed, so the passes
+  // resolve only through the trace the result shares.
+  webracer::SessionOptions Opts;
+  Opts.Predict = true;
+  Coverage Cov;
+  std::vector<analysis::PageSpec> Pages = analysis::figurePages();
+  Pages.push_back(analysis::falsePositivePage());
+  for (const analysis::PageSpec &Page : Pages) {
+    webracer::SessionResult R;
+    {
+      webracer::Session S(Opts);
+      S.network().addResource(Page.EntryUrl, Page.Html, 10);
+      for (const analysis::PageResource &Res : Page.Resources)
+        S.network().addResource(Res.Url, Res.Content, Res.LatencyUs);
+      R = S.run(Page.EntryUrl);
+    }
+    expectSessionMatchesReplay(R, Page.Name, Cov);
+  }
+
+  std::vector<sites::GeneratedSite> Corpus =
+      sites::buildFortune100Corpus(2012);
+  Corpus.resize(25);
+  Rng Seeds(2012);
+  for (const sites::GeneratedSite &Site : Corpus) {
+    webracer::SessionResult R;
+    {
+      Opts.Browser.Seed = Seeds.next();
+      webracer::Session S(Opts);
+      S.network().addResource(Site.IndexUrl, Site.Html, 10);
+      for (const sites::SiteResource &Res : Site.Resources)
+        S.network().addResourceWithJitter(Res.Url, Res.Body, Res.MinLatencyUs,
+                                          Res.MaxLatencyUs);
+      R = S.run(Site.IndexUrl);
+    }
+    expectSessionMatchesReplay(R, Site.Name, Cov);
+  }
+  EXPECT_GT(Cov.Races, 1000u);
+  EXPECT_GT(Cov.Observed, 0u);
+  EXPECT_GT(Cov.Dropped, 0u);
 }
 
 //===----------------------------------------------------------------------===//

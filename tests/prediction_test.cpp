@@ -31,6 +31,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <set>
 #include <string>
 #include <tuple>
@@ -205,12 +206,13 @@ webracer::SessionResult runPattern(sites::PatternKind Kind,
   return S.run(Site.IndexUrl);
 }
 
-const PredictionResult *findEngine(const webracer::SessionResult &R,
-                                   EngineKind Kind) {
-  for (const PredictionResult &P : R.Predictions)
+/// \p Kind's pass of \p R, materialized against the session's trace.
+std::optional<PredictionResult> findEngine(const webracer::SessionResult &R,
+                                           EngineKind Kind) {
+  for (const PredictionPass &P : R.Predictions)
     if (P.Engine == Kind)
-      return &P;
-  return nullptr;
+      return materialize(*R.Trace, P);
+  return std::nullopt;
 }
 
 /// A location-and-pair key for comparing findings across engines.
@@ -240,8 +242,8 @@ TEST(PredictionSessionTest, ShbDominatesFirstRaceOnlyOnPostFirstRace) {
   ASSERT_EQ(R.RawRaces.size(), 1u);
   ASSERT_EQ(R.Predictions.size(), 2u);
 
-  const PredictionResult *Shb = findEngine(R, EngineKind::Shb);
-  ASSERT_NE(Shb, nullptr);
+  std::optional<PredictionResult> Shb = findEngine(R, EngineKind::Shb);
+  ASSERT_TRUE(Shb);
   // Dominance: every observed race is re-found...
   EXPECT_EQ(Shb->observedMatched(), R.RawRaces.size());
   // ...plus the earlier reader's race against the same write, which the
@@ -250,8 +252,8 @@ TEST(PredictionSessionTest, ShbDominatesFirstRaceOnlyOnPostFirstRace) {
   EXPECT_EQ(Shb->DroppedEdges, 0u);
 
   // WCP's order is weaker, so its findings contain SHB's.
-  const PredictionResult *Wcp = findEngine(R, EngineKind::Wcp);
-  ASSERT_NE(Wcp, nullptr);
+  std::optional<PredictionResult> Wcp = findEngine(R, EngineKind::Wcp);
+  ASSERT_TRUE(Wcp);
   std::set<RaceKey> ShbKeys = keysOf(*Shb, false);
   std::set<RaceKey> WcpKeys = keysOf(*Wcp, false);
   EXPECT_TRUE(std::includes(WcpKeys.begin(), WcpKeys.end(), ShbKeys.begin(),
@@ -265,10 +267,10 @@ TEST(PredictionSessionTest, WcpStrictSupersetOfShbOnIntervalSkip) {
       runPattern(sites::PatternKind::IntervalSkipBenign, Opts);
   ASSERT_EQ(R.Predictions.size(), 2u);
 
-  const PredictionResult *Shb = findEngine(R, EngineKind::Shb);
-  const PredictionResult *Wcp = findEngine(R, EngineKind::Wcp);
-  ASSERT_NE(Shb, nullptr);
-  ASSERT_NE(Wcp, nullptr);
+  std::optional<PredictionResult> Shb = findEngine(R, EngineKind::Shb);
+  std::optional<PredictionResult> Wcp = findEngine(R, EngineKind::Wcp);
+  ASSERT_TRUE(Shb);
+  ASSERT_TRUE(Wcp);
 
   // Both dominate the observed run.
   EXPECT_EQ(Shb->observedMatched(), R.RawRaces.size());
@@ -298,11 +300,14 @@ TEST(PredictionSessionTest, PredictRunsShbThenWcp) {
   ASSERT_EQ(R.Stats.Prediction.size(), 2u);
   EXPECT_EQ(R.Stats.Prediction[0].Engine, "shb");
   EXPECT_EQ(R.Stats.Prediction[1].Engine, "wcp");
+  // The passes index the session's recording, which the result shares.
+  EXPECT_TRUE(R.Trace);
 
   Opts.Predict = false;
   R = runPattern(sites::PatternKind::PostFirstRaceBenign, Opts);
   EXPECT_TRUE(R.Predictions.empty());
   EXPECT_TRUE(R.Stats.Prediction.empty());
+  EXPECT_FALSE(R.Trace);
 }
 
 //===----------------------------------------------------------------------===//

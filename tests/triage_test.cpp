@@ -148,7 +148,9 @@ TEST(SignatureTest, HashAndIdAreStableFunctionsOfText) {
 TEST(SignatureTest, TableAgreesWithOneShotAndSharesIndices) {
   // The memoized table must sign every race exactly as computeSignature
   // does - observed (raw and kept) and every SHB and WCP prediction - and
-  // give equal signatures one index.
+  // give equal signatures one index. Each prediction is signed twice: as
+  // its materialized race, and from the parts of its event-index pair the
+  // way batch ingest signs it.
   fs::path Dir = fs::temp_directory_path() / "wr_triage_test_table";
   fs::remove_all(Dir);
   recordCorpusTraces(Dir, 6);
@@ -160,15 +162,14 @@ TEST(SignatureTest, TableAgreesWithOneShotAndSharesIndices) {
     TraceLog Log;
     std::string Error;
     ASSERT_TRUE(TraceLog::deserialize(Bytes.str(), Log, &Error)) << Error;
-    detect::ReplayOptions Opts;
-    Opts.Predict = true;
-    detect::ReplayResult Result = detect::replayTrace(Log, Opts);
-    ASSERT_EQ(Result.Predictions.size(), 2u);
+    detect::ReplayResult Result = detect::replayTrace(Log);
+    std::vector<detect::PredictionPass> Passes;
+    detect::predictAll(Log, Result.RawRaces, Passes, Result.Stats);
+    ASSERT_EQ(Passes.size(), 2u);
 
     triage::SignatureTable Table(Result.Hb);
     std::map<std::string, uint32_t> IndexOfText;
-    auto Check = [&](const detect::Race &R) {
-      uint32_t Index = Table.sign(R);
+    auto Check = [&](uint32_t Index, const detect::Race &R) {
       ASSERT_LT(Index, Table.size());
       triage::RaceSignature Expected = triage::computeSignature(R, Result.Hb);
       EXPECT_EQ(Table.signature(Index), Expected) << Path;
@@ -177,12 +178,22 @@ TEST(SignatureTest, TableAgreesWithOneShotAndSharesIndices) {
       ++Signed;
     };
     for (const detect::Race &R : Result.RawRaces)
-      Check(R);
+      Check(Table.sign(R), R);
     for (const detect::Race &R : Result.FilteredRaces)
-      Check(R);
-    for (const detect::PredictionResult &P : Result.Predictions)
-      for (const detect::PredictedRace &PR : P.Races)
-        Check(PR.R);
+      Check(Table.sign(R), R);
+    const std::vector<TraceEvent> &Events = Log.events();
+    for (const detect::PredictionPass &P : Passes) {
+      detect::PredictionResult Built = detect::materialize(Log, P);
+      for (size_t I = 0; I < P.Pairs.size(); ++I) {
+        const detect::PredictedPair &Pair = P.Pairs[I];
+        const Access &Second = Events[Pair.SecondEvent].Mem;
+        const detect::Race &R = Built.Races[I].R;
+        Check(Table.sign(Pair.Kind, Events[Pair.FirstEvent].Mem, Second,
+                         Log.interner().resolve(Second.Loc)),
+              R);
+        Check(Table.sign(R), R);
+      }
+    }
     EXPECT_EQ(Table.size(), IndexOfText.size()) << Path;
   }
   EXPECT_GT(Signed, 1000u);
@@ -225,6 +236,30 @@ TEST(SignatureTest, TableKeysEndpointsOnAccessKindAndOrigin) {
   }
   EXPECT_EQ(Table.size(), 3u);
   EXPECT_EQ(Index[3], Index[0]);
+}
+
+TEST(SignatureTest, TableKeysPatternOnSecondAccessLocation) {
+  // A race's Location is what its second access's LocId resolves to, so
+  // the table memoizes the location pattern on that id. Two races whose
+  // first accesses share an id but whose second accesses do not must get
+  // their own patterns.
+  HbGraph Hb;
+  Operation Script;
+  Script.Kind = OperationKind::ExecuteScript;
+  OpId A = Hb.addOperation(Script);
+  OpId B = Hb.addOperation(Script);
+  Access First{AccessKind::Write, AccessOrigin::Plain, A, 7, ""};
+  Access ToX{AccessKind::Read, AccessOrigin::Plain, B, 1, ""};
+  Access ToY{AccessKind::Read, AccessOrigin::Plain, B, 2, ""};
+  Location X = JSVarLoc{0, "x"};
+  Location Y = HtmlElemLoc{0, ElemKeyKind::ById, InvalidNodeId, "y"};
+
+  triage::SignatureTable Table(Hb);
+  uint32_t OnX = Table.sign(detect::RaceKind::Variable, First, ToX, X);
+  uint32_t OnY = Table.sign(detect::RaceKind::Html, First, ToY, Y);
+  EXPECT_NE(OnX, OnY);
+  EXPECT_EQ(Table.signature(OnX).Location, "var global.x");
+  EXPECT_EQ(Table.signature(OnY).Location, "elem #y");
 }
 
 TEST(GlobTest, Matching) {

@@ -190,15 +190,17 @@ obs::Json buildReplayReport(const std::string &Name,
   return Doc;
 }
 
-/// One summary line per predictive pass (page and replay modes).
-void printPredictionSummary(
-    const std::vector<detect::PredictionResult> &Predictions) {
-  for (const detect::PredictionResult &P : Predictions)
-    std::printf("%s prediction: %zu candidate(s), %zu observed, "
-                "%zu predicted, %llu dropped edge(s)\n",
-                toString(P.Engine), P.Races.size(), P.observedMatched(),
-                P.predictedCount(),
-                static_cast<unsigned long long>(P.DroppedEdges));
+/// One summary line per predictive pass (page and replay modes), read
+/// from the passes' wr_prediction rows.
+void printPredictionSummary(const obs::RunStats &Stats) {
+  for (const obs::PredictionRow &Row : Stats.Prediction)
+    std::printf("%s prediction: %llu candidate(s), %llu observed, "
+                "%llu predicted, %llu dropped edge(s)\n",
+                Row.Engine.c_str(),
+                static_cast<unsigned long long>(Row.Candidates),
+                static_cast<unsigned long long>(Row.Observed),
+                static_cast<unsigned long long>(Row.Predicted.total()),
+                static_cast<unsigned long long>(Row.DroppedEdges));
 }
 
 /// Names the event-loop bound that cut a page run short (a page that
@@ -534,7 +536,7 @@ int replayMain(const CliOptions &O) {
   std::printf("\n%s races: %s\n", O.Raw ? "raw" : "filtered",
               detect::summaryLine(Races).c_str());
   std::printf("%s", detect::describeRaces(Races, R.Hb).c_str());
-  printPredictionSummary(R.Predictions);
+  printPredictionSummary(R.Stats);
   return Races.empty() ? 0 : 1;
 }
 
@@ -801,7 +803,7 @@ int pageMain(const CliOptions &O) {
               detect::summaryLine(Races).c_str());
   std::printf("%s", detect::describeRaces(Races,
                                           S.browser().hb()).c_str());
-  printPredictionSummary(R.Predictions);
+  printPredictionSummary(R.Stats);
 
   if (O.Trace && S.trace())
     std::printf("\n-- trace --\n%s", S.trace()->toString().c_str());
