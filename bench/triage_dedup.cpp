@@ -38,6 +38,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 using namespace wr;
 namespace fs = std::filesystem;
 
@@ -89,8 +91,11 @@ int main(int Argc, char **Argv) {
       {"dedup-func", {{sites::PatternKind::FunctionCallHarmful, 1}}},
   };
 
-  fs::path Base = fs::temp_directory_path() / "wr_triage_dedup_base";
-  fs::path Full = fs::temp_directory_path() / "wr_triage_dedup_full";
+  // Per-process names: two runs at once must not delete each other's
+  // traces.
+  std::string Pid = std::to_string(::getpid());
+  fs::path Base = fs::temp_directory_path() / ("wr_triage_dedup_base_" + Pid);
+  fs::path Full = fs::temp_directory_path() / ("wr_triage_dedup_full_" + Pid);
   fs::remove_all(Base);
   fs::remove_all(Full);
   fs::create_directories(Base);

@@ -3,7 +3,6 @@
 #include "detect/Prediction.h"
 
 #include <algorithm>
-#include <memory>
 
 using namespace wr;
 using namespace wr::detect;
@@ -68,39 +67,40 @@ uint64_t packPair(OpId A, OpId B) {
   return (static_cast<uint64_t>(Lo) << 32) | Hi;
 }
 
-/// Open-addressing set of (location, unordered operation pair) keys: one
+/// Open-addressing map from (location, 64-bit key) to a uint32_t: one
 /// flat slot array, linear probing, no per-key allocation.
-class PairSet {
+class LocKeyMap {
 public:
-  /// Inserts the key; returns true if it was not already present.
-  bool insert(LocId Loc, uint64_t Ops) {
+  /// The key's value; a new key is inserted with \p Value first.
+  uint32_t insert(LocId Loc, uint64_t Key, uint32_t Value) {
     if ((Used + 1) * 2 > Slots.size())
       grow();
-    Slot &S = Slots[slotOf(Loc, Ops)];
-    if (S.Loc != InvalidLocId)
-      return false;
-    S = {Ops, Loc};
-    ++Used;
-    return true;
+    Slot &S = Slots[slotOf(Loc, Key)];
+    if (S.Loc == InvalidLocId) {
+      S = {Key, Loc, Value};
+      ++Used;
+    }
+    return S.Value;
   }
 
-  bool contains(LocId Loc, uint64_t Ops) const {
-    return !Slots.empty() && Slots[slotOf(Loc, Ops)].Loc != InvalidLocId;
+  bool contains(LocId Loc, uint64_t Key) const {
+    return !Slots.empty() && Slots[slotOf(Loc, Key)].Loc != InvalidLocId;
   }
 
 private:
   struct Slot {
-    uint64_t Ops = 0;
+    uint64_t Key = 0;
     LocId Loc = InvalidLocId; ///< InvalidLocId marks an empty slot.
+    uint32_t Value = 0;
   };
 
   /// The key's slot, or the empty slot where it would go.
-  size_t slotOf(LocId Loc, uint64_t Ops) const {
-    uint64_t H = (Ops + Loc * 0x9e3779b97f4a7c15ull) * 0xbf58476d1ce4e5b9ull;
+  size_t slotOf(LocId Loc, uint64_t Key) const {
+    uint64_t H = (Key + Loc * 0x9e3779b97f4a7c15ull) * 0xbf58476d1ce4e5b9ull;
     size_t Mask = Slots.size() - 1;
     for (size_t I = (H ^ (H >> 32)) & Mask;; I = (I + 1) & Mask)
       if (Slots[I].Loc == InvalidLocId ||
-          (Slots[I].Loc == Loc && Slots[I].Ops == Ops))
+          (Slots[I].Loc == Loc && Slots[I].Key == Key))
         return I;
   }
 
@@ -109,116 +109,152 @@ private:
     Slots.assign(Old.empty() ? 64 : Old.size() * 2, Slot());
     for (const Slot &S : Old)
       if (S.Loc != InvalidLocId)
-        Slots[slotOf(S.Loc, S.Ops)] = S;
+        Slots[slotOf(S.Loc, S.Key)] = S;
   }
 
   std::vector<Slot> Slots;
   size_t Used = 0;
 };
 
-/// One access in a location's history: where the event sits in the
-/// trace, plus the fields the pair scan reads without touching it.
-struct HistoryEntry {
-  uint32_t Event = 0; ///< Index into TraceLog::events().
+constexpr uint32_t NoEvent = ~0u;
+
+/// One operation's accesses to one location so far. A scan flags a prior
+/// operation at its first conflicting access - its first access, or its
+/// first write when the scanning access is a read - so this is all of its
+/// history the scan reads.
+struct OpAtLoc {
   OpId Op = InvalidOpId;
-  bool Write = false;
-  /// A write whose operation had already read the location (the
-  /// form-filter metadata the detector's full history also keeps).
-  bool HadPriorRead = false;
+  uint32_t FirstAccess = 0;      ///< Index into TraceLog::events().
+  uint32_t FirstWrite = NoEvent; ///< Likewise, once the op has written.
+  uint32_t Accesses = 0;
+  uint32_t Writes = 0;
+  /// The op read the location before its first write: the form-filter
+  /// flag that write carries.
+  bool ReadBeforeFirstWrite = false;
 };
 
-/// One location's accesses in trace order, with the positions of its
-/// writes so a read scans only the writes it can conflict with.
+/// One location's accessing operations in order of first access, the
+/// positions of those that wrote it in order of first write, and the
+/// location's access and write counts.
 struct LocHistory {
-  std::vector<HistoryEntry> Accesses;
-  std::vector<uint32_t> Writes;
+  std::vector<OpAtLoc> Ops;
+  std::vector<uint32_t> Writers;
+  uint32_t Accesses = 0;
+  uint32_t Writes = 0;
 };
 
 } // namespace
 
-PredictionPass wr::detect::predictRaces(const TraceLog &Log,
-                                        EngineKind Engine,
-                                        const std::vector<Race> &ObservedRaw) {
-  PredictionPass Result;
-  Result.Engine = Engine;
-
-  std::unique_ptr<PredictiveEngine> Owned;
-  if (Engine == EngineKind::Shb)
-    Owned = std::make_unique<ShbEngine>();
-  else
-    Owned = std::make_unique<WcpEngine>();
-  PredictiveEngine &PO = *Owned;
+void wr::detect::predictAll(const TraceLog &Log,
+                            const std::vector<Race> &ObservedRaw,
+                            std::vector<PredictionPass> &Passes,
+                            obs::RunStats &Stats) {
+  // One walk feeds both orders; every candidate pair is posed to each.
+  ShbEngine Shb;
+  WcpEngine Wcp;
+  PredictiveEngine *const Orders[] = {&Shb, &Wcp};
+  PredictionPass Out[2];
+  Out[0].Engine = EngineKind::Shb;
+  Out[1].Engine = EngineKind::Wcp;
 
   const std::vector<TraceEvent> &Events = Log.events();
 
   // WCP classifies dispatch-order edges by whether the endpoints
   // conflict, which needs both operations' access footprints before the
   // edge streams by - hence the pre-pass.
-  if (Engine == EngineKind::Wcp)
-    for (const TraceEvent &E : Events)
-      if (E.K == TraceEvent::Kind::MemAccess)
-        PO.primeAccess(E.Mem.Op, E.Mem.Loc, E.Mem.Kind);
+  for (const TraceEvent &E : Events)
+    if (E.K == TraceEvent::Kind::MemAccess)
+      Wcp.primeAccess(E.Mem.Op, E.Mem.Loc, E.Mem.Kind);
 
   // Index the observed raw races for verdict labeling.
-  PairSet Observed;
+  LocKeyMap Observed;
   for (const Race &R : ObservedRaw)
-    Observed.insert(R.First.Loc, packPair(R.First.Op, R.Second.Op));
+    Observed.insert(R.First.Loc, packPair(R.First.Op, R.Second.Op), 0);
 
   std::vector<LocHistory> Histories(Log.interner().size());
-  PairSet Seen;
+  LocKeyMap RecordOf; // (location, op) -> position in LocHistory::Ops.
+  uint64_t PairsChecked = 0;
 
   for (uint32_t Index = 0; Index < Events.size(); ++Index) {
     const TraceEvent &E = Events[Index];
     switch (E.K) {
     case TraceEvent::Kind::OpCreated:
-      PO.onOperationCreated(E.Op, E.Meta);
+      for (PredictiveEngine *PO : Orders)
+        PO->onOperationCreated(E.Op, E.Meta);
       break;
     case TraceEvent::Kind::HbEdge:
-      PO.onHbEdge(E.Op, E.Op2, E.Rule);
+      for (PredictiveEngine *PO : Orders)
+        PO->onHbEdge(E.Op, E.Op2, E.Rule);
       break;
     case TraceEvent::Kind::MemAccess: {
       const Access &A = E.Mem;
       LocHistory &H = Histories[A.Loc];
       bool Write = A.Kind == AccessKind::Write;
+      uint32_t Own = RecordOf.insert(A.Loc, A.Op,
+                                     static_cast<uint32_t>(H.Ops.size()));
+      bool Fresh = Own == H.Ops.size();
+      uint32_t OwnAccesses = Fresh ? 0 : H.Ops[Own].Accesses;
+      uint32_t OwnWrites = Fresh ? 0 : H.Ops[Own].Writes;
+      // Every conflicting entry of another op counts as checked, as if
+      // the scan walked the whole history.
+      PairsChecked +=
+          Write ? H.Accesses - OwnAccesses : H.Writes - OwnWrites;
+      bool OwnPriorRead = Write && OwnAccesses > OwnWrites;
+
       // Check against the history *before* this access updates the
-      // engine: under SHB the reader's write-read join must not order
-      // away the very pair being asked about. Read-read pairs never
-      // conflict, so a read scans only the prior writes; either way the
-      // conflicting pairs come up in trace order.
-      size_t FirstFinding = Result.Pairs.size();
-      bool OwnPriorRead = false; // This write's op read the location.
-      auto Check = [&](const HistoryEntry &Prior) {
-        if (Prior.Op == A.Op) {
-          OwnPriorRead |= !Prior.Write;
+      // engines: under SHB the reader's write-read join must not order
+      // away the very pair being asked about. Only a (location, pair)'s
+      // first check can flag it (DESIGN.md "Predictive orders"), so a
+      // pair already checked is not posed again, and a scan poses each
+      // prior op once, at its first conflicting access.
+      const Location &Loc = Log.interner().resolve(A.Loc);
+      auto Pose = [&](OpId Prior, uint32_t PriorEvent, bool PriorRead) {
+        bool Races[2];
+        for (size_t I = 0; I < 2; ++I)
+          Races[I] =
+              Orders[I]->ordering(Prior, A.Op) == Ordering::Concurrent;
+        if (!Races[0] && !Races[1])
           return;
-        }
-        ++Result.PairsChecked;
-        if (PO.ordering(Prior.Op, A.Op) != Ordering::Concurrent)
-          return;
-        uint64_t Ops = packPair(Prior.Op, A.Op);
-        if (!Seen.insert(A.Loc, Ops))
-          return;
-        const Access &First = Events[Prior.Event].Mem;
-        Result.Pairs.push_back(
-            {Prior.Event, Index,
-             classifyRace(First, A, Log.interner().resolve(A.Loc)),
-             Prior.HadPriorRead,
-             Observed.contains(A.Loc, Ops) ? PredictionVerdict::Observed
-                                           : PredictionVerdict::Predicted});
+        PredictedPair Pair{
+            PriorEvent, Index, classifyRace(Events[PriorEvent].Mem, A, Loc),
+            PriorRead || OwnPriorRead,
+            Observed.contains(A.Loc, packPair(Prior, A.Op))
+                ? PredictionVerdict::Observed
+                : PredictionVerdict::Predicted};
+        for (size_t I = 0; I < 2; ++I)
+          if (Races[I])
+            Out[I].Pairs.push_back(Pair);
       };
-      if (Write)
-        for (const HistoryEntry &Prior : H.Accesses)
-          Check(Prior);
-      else
-        for (uint32_t Pos : H.Writes)
-          Check(H.Accesses[Pos]);
-      if (OwnPriorRead)
-        for (size_t I = FirstFinding; I < Result.Pairs.size(); ++I)
-          Result.Pairs[I].WriteHadPriorReadInOp = true;
-      PO.onMemoryAccess(A);
-      if (Write)
-        H.Writes.push_back(static_cast<uint32_t>(H.Accesses.size()));
-      H.Accesses.push_back({Index, A.Op, Write, OwnPriorRead});
+      if (!Write) {
+        // A read conflicts with writes; an op that accessed the location
+        // before has been checked against every earlier writer.
+        if (Fresh)
+          for (uint32_t Pos : H.Writers)
+            Pose(H.Ops[Pos].Op, H.Ops[Pos].FirstWrite,
+                 H.Ops[Pos].ReadBeforeFirstWrite);
+      } else if (OwnWrites == 0) {
+        // A first write conflicts with every access. An op that only read
+        // the location before has been checked against every op that
+        // wrote it, which leaves the ops that only read it.
+        for (const OpAtLoc &Prior : H.Ops)
+          if (Fresh || (Prior.Writes == 0 && Prior.Op != A.Op))
+            Pose(Prior.Op, Prior.FirstAccess, false);
+      }
+
+      for (PredictiveEngine *PO : Orders)
+        PO->onMemoryAccess(A);
+      if (Fresh)
+        H.Ops.push_back({A.Op, Index});
+      OpAtLoc &Rec = H.Ops[Own];
+      if (Write && Rec.Writes == 0) {
+        Rec.FirstWrite = Index;
+        Rec.ReadBeforeFirstWrite = Rec.Accesses > 0;
+        H.Writers.push_back(Own);
+      }
+      ++Rec.Accesses;
+      ++H.Accesses;
+      Rec.Writes += Write;
+      H.Writes += Write;
       break;
     }
     case TraceEvent::Kind::OpBegin:
@@ -228,21 +264,10 @@ PredictionPass wr::detect::predictRaces(const TraceLog &Log,
     }
   }
 
-  Result.DroppedEdges = PO.droppedEdges();
-  return Result;
-}
-
-void wr::detect::predictAll(const TraceLog &Log,
-                            const std::vector<Race> &ObservedRaw,
-                            std::vector<PredictionPass> &Passes,
-                            obs::RunStats &Stats) {
-  // Held on the heap on purpose: batch ingest's peak RSS moves by up to a
-  // quarter with heap layout alone (glibc's dynamic mmap threshold), and
-  // an initializer list here moved bench/perf's batch peak_rss_mb from 40
-  // to 50 MB on one checkout path.
-  const std::vector<EngineKind> Engines = {EngineKind::Shb, EngineKind::Wcp};
-  for (EngineKind Engine : Engines) {
-    Passes.push_back(predictRaces(Log, Engine, ObservedRaw));
+  for (size_t I = 0; I < 2; ++I) {
+    Out[I].PairsChecked = PairsChecked;
+    Out[I].DroppedEdges = Orders[I]->droppedEdges();
+    Passes.push_back(std::move(Out[I]));
     Stats.Prediction.push_back(toStatsRow(Passes.back()));
   }
 }

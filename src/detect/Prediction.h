@@ -6,20 +6,25 @@
 ///
 /// \file
 /// The predictive race pass: replays a recorded trace's event stream
-/// through a predictive order (hb/PredictiveEngine.h) and reports every
-/// conflicting access pair the order leaves unordered - including races
+/// through the predictive orders (hb/PredictiveEngine.h) and reports every
+/// conflicting access pair an order leaves unordered - including races
 /// *after* the first one per location, which the paper's single-slot
-/// online detector never sees. A prediction run makes two passes, SHB
-/// then WCP (predictAll). Each access is checked against the location's
-/// full history *before* the engine applies the access's own update
-/// (SHB's check-then-update discipline), so under the SHB order every
-/// reported pair is a race in some feasible schedule of the recorded
-/// execution.
+/// online detector never sees. A prediction run (predictAll) walks the
+/// trace once and feeds every event to both orders, SHB and WCP, and
+/// hands out one pass per order, SHB first. Each access is checked
+/// against the location's history *before* the engines apply the
+/// access's own update (SHB's check-then-update discipline), so under the
+/// SHB order every reported pair is a race in some feasible schedule of
+/// the recorded execution.
 ///
-/// Findings are deduplicated per (location, operation pair) and labeled:
-/// a pair the observed run also reported is Observed; everything else is
+/// Findings are unique per (location, operation pair) and labeled: a pair
+/// the observed run also reported is Observed; everything else is
 /// Predicted - the per-trace value the engine adds over the single
-/// observed schedule.
+/// observed schedule. The orders' clocks only grow, so a pair's verdict
+/// can only move from concurrent to ordered, and only a pair's first
+/// check at a location can find it: the walk poses each (location, pair)
+/// once, at that check, and needs no set of the findings so far
+/// (DESIGN.md "Predictive orders").
 ///
 /// A pass keeps each finding as a 12-byte PredictedPair: two indices into
 /// the trace's events plus the race kind, the form-filter flag and the
@@ -73,9 +78,11 @@ static_assert(sizeof(PredictedPair) == 12,
 /// Everything one engine's pass over one trace produced.
 struct PredictionPass {
   EngineKind Engine = EngineKind::Shb;
-  /// Deduplicated findings in trace order (first flagged occurrence wins).
+  /// One finding per (location, operation pair), in trace order, at the
+  /// pair's first check.
   std::vector<PredictedPair> Pairs;
-  /// Conflicting cross-operation pairs the pass posed to the engine.
+  /// Conflicting cross-operation access pairs the pass checked: for each
+  /// access, the location's earlier conflicting accesses by other ops.
   uint64_t PairsChecked = 0;
   /// HB edges the engine's order dropped (WCP weakening; 0 otherwise).
   uint64_t DroppedEdges = 0;
@@ -91,9 +98,10 @@ struct PredictedRace {
 /// A pass in the report's shape: every pair built into a PredictedRace.
 struct PredictionResult {
   EngineKind Engine = EngineKind::Shb;
-  /// Deduplicated races in trace order (first flagged occurrence wins).
+  /// One race per (location, operation pair), in trace order.
   std::vector<PredictedRace> Races;
-  /// Conflicting cross-operation pairs the pass posed to the engine.
+  /// Conflicting cross-operation access pairs the pass checked: for each
+  /// access, the location's earlier conflicting accesses by other ops.
   uint64_t PairsChecked = 0;
   /// HB edges the engine's order dropped (WCP weakening; 0 otherwise).
   uint64_t DroppedEdges = 0;
@@ -102,15 +110,11 @@ struct PredictionResult {
   size_t predictedCount() const;
 };
 
-/// Runs the predictive pass over \p Log under \p Engine. \p ObservedRaw
-/// is the observed run's raw race list (online or replayed); it only
-/// labels verdicts, it never adds races.
-PredictionPass predictRaces(const TraceLog &Log, EngineKind Engine,
-                            const std::vector<Race> &ObservedRaw);
-
-/// A prediction run: the SHB pass, then the WCP pass, over \p Log, so
-/// the report carries the two deltas side by side. Appends each pass to
-/// \p Passes and its wr_prediction row to \p Stats.
+/// A prediction run over \p Log: one walk that yields the SHB pass and
+/// the WCP pass, so the report carries the two deltas side by side.
+/// Appends each pass, SHB first, to \p Passes and its wr_prediction row
+/// to \p Stats. \p ObservedRaw is the observed run's raw race list
+/// (online or replayed); it only labels verdicts, it never adds races.
 void predictAll(const TraceLog &Log, const std::vector<Race> &ObservedRaw,
                 std::vector<PredictionPass> &Passes, obs::RunStats &Stats);
 

@@ -6,9 +6,9 @@
 ///
 /// \file
 /// The partial orders race prediction runs over a replayed trace's event
-/// stream (detect/Prediction.h runs both, SHB then WCP). Each answers
-/// ordering queries from a ClockIndex (hb/ClockIndex.h), the index
-/// HbGraph uses, fed with the edges the order keeps:
+/// stream (detect/Prediction.h feeds both in one walk, SHB's pass first).
+/// Each answers ordering queries from a ClockIndex (hb/ClockIndex.h), the
+/// index HbGraph uses, fed with the edges the order keeps:
 ///
 ///  * ShbEngine - schedulable happens-before ("What Happens-After the
 ///    First Race?"): the observed HB edges plus a write-read edge from
@@ -39,8 +39,10 @@
 /// hooks (operation creation, rule-tagged HB edges, memory accesses) in
 /// trace order, after a primeAccess() pre-pass over the accesses.
 /// Because clocks grow as accesses stream by (a reader's clock gains the
-/// last writer's), verdicts between existing operations are mutable, and
-/// a write-read edge can order a higher id before a lower one. The
+/// last writer's), verdicts between existing operations can change -
+/// only ever from concurrent to ordered, which is why the pass may pose
+/// each pair once - and a write-read edge can order a higher id before a
+/// lower one. The
 /// detector's epoch path assumes neither, so it probes HbGraph directly
 /// and these engines serve the prediction pass only.
 ///

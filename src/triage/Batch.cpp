@@ -120,17 +120,17 @@ TraceIngest wr::triage::ingestTraceFile(const std::string &Path,
     for (const detect::PredictedPair &Pair : P.Pairs) {
       if (Pair.Verdict != detect::PredictionVerdict::Predicted)
         continue;
-      const Access &Second = Events[Pair.SecondEvent].Mem;
-      const Location &Loc = Log.interner().resolve(Second.Loc);
       uint32_t Sig =
-          Table.sign(Pair.Kind, Events[Pair.FirstEvent].Mem, Second, Loc);
+          Table.sign(Pair.Kind, Log, Pair.FirstEvent, Pair.SecondEvent);
       if (Suppressed(Sig))
         continue;
       if (Sig >= SlotOf.size())
         SlotOf.resize(Table.size(), NoSlot);
       if (SlotOf[Sig] == NoSlot) {
         SlotOf[Sig] = static_cast<uint32_t>(In.PredictedSignatures.size());
-        In.PredictedSignatures.push_back({Table.signature(Sig), toString(Loc)});
+        LocId Loc = Events[Pair.SecondEvent].Mem.Loc;
+        In.PredictedSignatures.push_back(
+            {Table.signature(Sig), toString(Log.interner().resolve(Loc))});
       }
       In.Predicted.push_back(SlotOf[Sig]);
     }

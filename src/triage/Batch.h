@@ -13,11 +13,12 @@
 /// actionable report" item.
 ///
 /// With prediction on, ingest replays the observed run alone and runs the
-/// SHB and WCP passes itself on the decoded trace: a pass keeps each
-/// finding as an event-index pair (detect/Prediction.h), and ingest signs
-/// each predicted-only pair from the trace's own events and location
-/// table, so the tens of thousands of findings per trace never become
-/// Race objects.
+/// SHB and WCP passes itself on the decoded trace, in one walk: a pass
+/// keeps each finding as an event-index pair (detect/Prediction.h), and
+/// ingest signs each predicted-only pair from the endpoint and pattern ids
+/// the signature table memoizes per trace event (triage/Signature.h), so
+/// the tens of thousands of findings per trace never become Race objects
+/// and each event's access is read once.
 ///
 /// Determinism: trace files are sorted by path before any work starts,
 /// per-trace results land in input-order slots (support/WorkerPool.h,

@@ -203,20 +203,37 @@ RaceSignature wr::triage::computeSignature(const detect::Race &R,
 }
 
 uint32_t SignatureTable::sign(const detect::Race &R) {
-  return sign(R.Kind, R.First, R.Second, R.Loc);
+  return signKey(R.Kind, patternOf(R.Second.Loc, R.Loc), endpointOf(R.First),
+                 endpointOf(R.Second));
 }
 
-uint32_t SignatureTable::sign(detect::RaceKind Kind, const Access &First,
-                              const Access &Second, const Location &Loc) {
-  uint32_t A = endpointOf(First);
-  uint32_t B = endpointOf(Second);
-  Key K{static_cast<uint32_t>(Kind), patternOf(Second.Loc, Loc),
-        std::min(A, B), std::max(A, B)};
+uint32_t SignatureTable::sign(detect::RaceKind Kind, const TraceLog &Log,
+                              uint32_t FirstEvent, uint32_t SecondEvent) {
+  uint32_t A = idsOf(Log, FirstEvent).Endpoint;
+  const EventIds &Second = idsOf(Log, SecondEvent);
+  return signKey(Kind, Second.Pattern, A, Second.Endpoint);
+}
+
+const SignatureTable::EventIds &SignatureTable::idsOf(const TraceLog &Log,
+                                                      uint32_t Event) {
+  if (IdsOfEvent.empty())
+    IdsOfEvent.resize(Log.events().size());
+  EventIds &Ids = IdsOfEvent[Event];
+  if (Ids.Endpoint == NoId) {
+    const Access &A = Log.events()[Event].Mem;
+    Ids = {endpointOf(A), patternOf(A.Loc, Log.interner().resolve(A.Loc))};
+  }
+  return Ids;
+}
+
+uint32_t SignatureTable::signKey(detect::RaceKind Kind, uint32_t Pattern,
+                                 uint32_t A, uint32_t B) {
+  Key K{static_cast<uint32_t>(Kind), Pattern, std::min(A, B), std::max(A, B)};
   auto [It, Inserted] =
       SignatureOf.try_emplace(K, static_cast<uint32_t>(Signatures.size()));
   if (Inserted)
     Signatures.push_back(
-        assemble(Kind, Patterns[K.Pattern], Endpoints[A], Endpoints[B]));
+        assemble(Kind, Patterns[Pattern], Endpoints[A], Endpoints[B]));
   return It->second;
 }
 

@@ -1,24 +1,31 @@
-//===- tests/prediction_oracle_test.cpp - predictRaces vs reference pass ----===//
+//===- tests/prediction_oracle_test.cpp - predictAll vs reference pass ------===//
 //
 // Part of the WebRacer reproduction. MIT licensed; see LICENSE.
 //
 //===----------------------------------------------------------------------===//
 //
-// detect::predictRaces answers each access from a per-location index (a
-// dense history of event indices, reads scanning only prior writes, a
-// flat deduplication set) and keeps each finding as an event-index pair.
-// This file keeps the straightforward full-history pass it replaced,
-// which builds every race as it goes, as the reference and checks that
-// the pairs materialize to identical results - every PredictedRace field
-// (Detail strings, the form-filter flag, the verdict) in the same order,
-// plus PairsChecked and DroppedEdges - under the shb and wcp orders, over:
+// detect::predictAll walks a trace once for both orders and poses each
+// (location, operation pair) only at its first conflicting check: per
+// location it keeps each operation's first access, first write and
+// access counts, a read is checked only by an operation new to the
+// location, and a write only against the operations it has not yet been
+// checked against. It keeps each finding as an event-index pair. This file
+// keeps the straightforward pass it replaced - one engine per walk, every
+// access checked against its location's whole history, a set of the
+// findings so far dropping repeats, every race built as it goes - as the
+// reference, and checks that each pass of predictAll materializes to the
+// reference's result for its engine - every PredictedRace field (Detail
+// strings, the form-filter flag, the verdict) in the same order, plus
+// PairsChecked and DroppedEdges - under the shb and wcp orders, over:
 //
 //  * recorded seed-2012 corpus sites;
 //  * the figure pages and the false-positive page;
 //  * random web-shaped traces: operations created with in-edges from
 //    older ones, run one at a time with nested operations inside, over a
 //    small location pool so the same operation touches a location
-//    repeatedly and reads before writing it.
+//    repeatedly and reads before writing it. Here the reference re-checks
+//    pairs it has already found concurrent, so the test shows that the
+//    checks predictAll skips are ones the reference's set drops.
 //
 // It also checks the two shapes a prediction run hands out agree: a
 // session's passes, materialized through the trace its result shares
@@ -40,6 +47,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -85,9 +93,17 @@ struct LocHistory {
   std::unordered_set<OpId> ReaderOps;
 };
 
-PredictionResult referencePredictRaces(const TraceLog &Log, EngineKind Engine,
-                                       const std::vector<Race> &ObservedRaw) {
+/// The reference's pass, plus how many of its checks found a (location,
+/// pair) concurrent that it had already found concurrent.
+struct Reference {
   PredictionResult Result;
+  uint64_t ConcurrentAgain = 0;
+};
+
+Reference referencePredictRaces(const TraceLog &Log, EngineKind Engine,
+                                const std::vector<Race> &ObservedRaw) {
+  Reference Ref;
+  PredictionResult &Result = Ref.Result;
   Result.Engine = Engine;
 
   std::unique_ptr<PredictiveEngine> Owned;
@@ -129,8 +145,10 @@ PredictionResult referencePredictRaces(const TraceLog &Log, EngineKind Engine,
         if (PO.ordering(Prior.A.Op, A.Op) != Ordering::Concurrent)
           continue;
         PairKey Key{A.Loc, packPair(Prior.A.Op, A.Op)};
-        if (!Seen.insert(Key).second)
+        if (!Seen.insert(Key).second) {
+          ++Ref.ConcurrentAgain;
           continue;
+        }
         PredictedRace P;
         P.R.Loc = Log.interner().resolve(A.Loc);
         P.R.First = Prior.A;
@@ -162,7 +180,7 @@ PredictionResult referencePredictRaces(const TraceLog &Log, EngineKind Engine,
   }
 
   Result.DroppedEdges = PO.droppedEdges();
-  return Result;
+  return Ref;
 }
 
 //===----------------------------------------------------------------------===//
@@ -226,6 +244,8 @@ struct Coverage {
   size_t Observed = 0;
   size_t PriorRead = 0;
   uint64_t Dropped = 0;
+  /// Reference checks that found an already-found pair concurrent again.
+  uint64_t ConcurrentAgain = 0;
 
   void add(const PredictionResult &P) {
     Races += P.Races.size();
@@ -239,13 +259,17 @@ struct Coverage {
 void expectMatchesReference(const TraceLog &Log,
                             const std::vector<Race> &Observed,
                             const std::string &Label, Coverage &Cov) {
-  for (EngineKind Engine : Engines) {
-    PredictionResult Want = referencePredictRaces(Log, Engine, Observed);
-    PredictionResult Got =
-        materialize(Log, predictRaces(Log, Engine, Observed));
-    EXPECT_TRUE(sameResult(Want, Got))
-        << Label << " under " << toString(Engine);
+  std::vector<PredictionPass> Passes;
+  obs::RunStats Stats;
+  predictAll(Log, Observed, Passes, Stats);
+  ASSERT_EQ(Passes.size(), std::size(Engines)) << Label;
+  for (size_t I = 0; I < Passes.size(); ++I) {
+    Reference Want = referencePredictRaces(Log, Engines[I], Observed);
+    PredictionResult Got = materialize(Log, Passes[I]);
+    EXPECT_TRUE(sameResult(Want.Result, Got))
+        << Label << " under " << toString(Engines[I]);
     Cov.add(Got);
+    Cov.ConcurrentAgain += Want.ConcurrentAgain;
   }
 }
 
@@ -378,6 +402,7 @@ TEST(PredictionOracleTest, RandomWebShapedTracesMatchReference) {
   EXPECT_GT(Cov.Observed, 0u);
   EXPECT_GT(Cov.PriorRead, 0u);
   EXPECT_GT(Cov.Dropped, 0u);
+  EXPECT_GT(Cov.ConcurrentAgain, 0u);
 }
 
 } // namespace

@@ -11,6 +11,8 @@
 //    earlier one, WCP's dispatch-atomicity edge dropping, and the
 //    creation-edge substitution that keeps every interval callback
 //    anchored to its registration.
+//  * The premise of the prediction walk over random traces: under either
+//    order a pair's verdict only ever moves from concurrent to ordered.
 //  * Replay equivalence: a recorded session trace (round-tripped through
 //    the WRT2 encoding) replays to byte-identical observed races with
 //    prediction off and on - prediction never perturbs observation.
@@ -20,6 +22,8 @@
 //    SHB's on IntervalSkipBenign.
 //
 //===----------------------------------------------------------------------===//
+
+#include "RandomTrace.h"
 
 #include "detect/Prediction.h"
 #include "detect/TraceReplay.h"
@@ -31,6 +35,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <optional>
 #include <set>
 #include <string>
@@ -186,6 +191,66 @@ TEST(WcpEngineTest, OnlyDispatchRulesWeaken) {
   E.onHbEdge(1, 2, HbRule::R16_SetTimeout);
   EXPECT_EQ(E.droppedEdges(), 0u);
   EXPECT_EQ(E.ordering(1, 2), Ordering::Before);
+}
+
+TEST(PredictiveEngineTest, VerdictsOnlyMoveTowardOrdered) {
+  // The premise of the prediction walk's first-check rule: clocks only
+  // grow, so once an order finds a (location, operation pair) ordered, no
+  // later check finds it concurrent. Random web-shaped traces stream
+  // through each order; before each access, every conflicting prior pair
+  // is checked the way the reference pass checks it, and each (location,
+  // pair)'s verdict is followed from check to check.
+  uint64_t ConcurrentAgain = 0, ConcurrentThenOrdered = 0, Backward = 0;
+  std::string FirstBackward;
+  for (uint64_t Seed = 1; Seed <= 300; ++Seed) {
+    test::RandomTrace Trace(Seed);
+    const TraceLog &Log = Trace.log();
+    for (EngineKind Engine : {EngineKind::Shb, EngineKind::Wcp}) {
+      ShbEngine Shb;
+      WcpEngine Wcp;
+      PredictiveEngine &PO =
+          Engine == EngineKind::Shb ? static_cast<PredictiveEngine &>(Shb)
+                                    : Wcp;
+      for (const TraceEvent &E : Log.events())
+        if (E.K == TraceEvent::Kind::MemAccess)
+          PO.primeAccess(E.Mem.Op, E.Mem.Loc, E.Mem.Kind);
+      std::vector<std::vector<std::pair<OpId, bool>>> Prior(
+          Log.interner().size()); // (op, write) per access, by location.
+      std::map<std::tuple<LocId, OpId, OpId>, bool> Ordered; // Latest.
+      for (const TraceEvent &E : Log.events()) {
+        if (E.K == TraceEvent::Kind::OpCreated)
+          PO.onOperationCreated(E.Op, E.Meta);
+        else if (E.K == TraceEvent::Kind::HbEdge)
+          PO.onHbEdge(E.Op, E.Op2, E.Rule);
+        if (E.K != TraceEvent::Kind::MemAccess)
+          continue;
+        const Access &A = E.Mem;
+        bool Write = A.Kind == AccessKind::Write;
+        for (const auto &[Op, PriorWrite] : Prior[A.Loc]) {
+          if (Op == A.Op || (!Write && !PriorWrite))
+            continue;
+          bool IsOrdered = PO.ordering(Op, A.Op) != Ordering::Concurrent;
+          auto [It, New] = Ordered.try_emplace(
+              {A.Loc, std::min(Op, A.Op), std::max(Op, A.Op)}, IsOrdered);
+          if (New)
+            continue;
+          if (It->second && !IsOrdered && Backward++ == 0)
+            FirstBackward = "seed " + std::to_string(Seed) + " under " +
+                            toString(Engine) + ": ops " + std::to_string(Op) +
+                            " and " + std::to_string(A.Op) + " at location " +
+                            std::to_string(A.Loc);
+          if (!It->second)
+            ++(IsOrdered ? ConcurrentThenOrdered : ConcurrentAgain);
+          It->second = IsOrdered;
+        }
+        PO.onMemoryAccess(A);
+        Prior[A.Loc].push_back({A.Op, Write});
+      }
+    }
+  }
+  EXPECT_EQ(Backward, 0u) << "ordered, then concurrent: " << FirstBackward;
+  EXPECT_GT(ConcurrentAgain, 0u);
+  EXPECT_GT(ConcurrentThenOrdered, 0u);
 }
 
 //===----------------------------------------------------------------------===//

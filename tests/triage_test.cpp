@@ -37,6 +37,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 using namespace wr;
 namespace fs = std::filesystem;
 
@@ -90,6 +92,13 @@ std::vector<std::string> tracePaths(const fs::path &Dir) {
   std::string Error;
   EXPECT_TRUE(triage::listTraceFiles(Dir.string(), Paths, Error)) << Error;
   return Paths;
+}
+
+/// A directory under the temp dir named for \p Name and this process, so
+/// two test processes running at once never delete each other's traces.
+fs::path uniqueTempDir(const std::string &Name) {
+  return fs::temp_directory_path() /
+         (Name + "_" + std::to_string(::getpid()));
 }
 
 TEST(SignatureTest, NormalizeSourcePatternFoldsDigitRuns) {
@@ -149,9 +158,9 @@ TEST(SignatureTest, TableAgreesWithOneShotAndSharesIndices) {
   // The memoized table must sign every race exactly as computeSignature
   // does - observed (raw and kept) and every SHB and WCP prediction - and
   // give equal signatures one index. Each prediction is signed twice: as
-  // its materialized race, and from the parts of its event-index pair the
-  // way batch ingest signs it.
-  fs::path Dir = fs::temp_directory_path() / "wr_triage_test_table";
+  // its materialized race, and from its event-index pair the way batch
+  // ingest signs it.
+  fs::path Dir = uniqueTempDir("wr_triage_test_table");
   fs::remove_all(Dir);
   recordCorpusTraces(Dir, 6);
   size_t Signed = 0;
@@ -181,15 +190,12 @@ TEST(SignatureTest, TableAgreesWithOneShotAndSharesIndices) {
       Check(Table.sign(R), R);
     for (const detect::Race &R : Result.FilteredRaces)
       Check(Table.sign(R), R);
-    const std::vector<TraceEvent> &Events = Log.events();
     for (const detect::PredictionPass &P : Passes) {
       detect::PredictionResult Built = detect::materialize(Log, P);
       for (size_t I = 0; I < P.Pairs.size(); ++I) {
         const detect::PredictedPair &Pair = P.Pairs[I];
-        const Access &Second = Events[Pair.SecondEvent].Mem;
         const detect::Race &R = Built.Races[I].R;
-        Check(Table.sign(Pair.Kind, Events[Pair.FirstEvent].Mem, Second,
-                         Log.interner().resolve(Second.Loc)),
+        Check(Table.sign(Pair.Kind, Log, Pair.FirstEvent, Pair.SecondEvent),
               R);
         Check(Table.sign(R), R);
       }
@@ -240,26 +246,40 @@ TEST(SignatureTest, TableKeysEndpointsOnAccessKindAndOrigin) {
 
 TEST(SignatureTest, TableKeysPatternOnSecondAccessLocation) {
   // A race's Location is what its second access's LocId resolves to, so
-  // the table memoizes the location pattern on that id. Two races whose
-  // first accesses share an id but whose second accesses do not must get
-  // their own patterns.
+  // the table keys the pattern on the second event. Two pairs that share
+  // a first event but whose second events touch other locations must get
+  // their own patterns, and an event that ends one pair and starts the
+  // next keeps the pattern of its own location.
   HbGraph Hb;
   Operation Script;
   Script.Kind = OperationKind::ExecuteScript;
   OpId A = Hb.addOperation(Script);
   OpId B = Hb.addOperation(Script);
-  Access First{AccessKind::Write, AccessOrigin::Plain, A, 7, ""};
-  Access ToX{AccessKind::Read, AccessOrigin::Plain, B, 1, ""};
-  Access ToY{AccessKind::Read, AccessOrigin::Plain, B, 2, ""};
-  Location X = JSVarLoc{0, "x"};
-  Location Y = HtmlElemLoc{0, ElemKeyKind::ById, InvalidNodeId, "y"};
+  TraceLog Log;
+  Log.onOperationCreated(A, Script);
+  Log.onOperationCreated(B, Script);
+  Log.onLocationInterned(0, JSVarLoc{0, "x"});
+  Log.onLocationInterned(
+      1, HtmlElemLoc{0, ElemKeyKind::ById, InvalidNodeId, "y"});
+  Log.onLocationInterned(2, JSVarLoc{0, "z"});
+  auto Record = [&](AccessKind Kind, OpId Op, LocId Loc) {
+    Log.onMemoryAccess({Kind, AccessOrigin::Plain, Op, Loc, ""});
+    return static_cast<uint32_t>(Log.size() - 1);
+  };
+  uint32_t First = Record(AccessKind::Write, A, 2);
+  uint32_t ToX = Record(AccessKind::Read, B, 0);
+  uint32_t ToY = Record(AccessKind::Read, B, 1);
 
   triage::SignatureTable Table(Hb);
-  uint32_t OnX = Table.sign(detect::RaceKind::Variable, First, ToX, X);
-  uint32_t OnY = Table.sign(detect::RaceKind::Html, First, ToY, Y);
+  uint32_t OnX = Table.sign(detect::RaceKind::Variable, Log, First, ToX);
+  uint32_t OnY = Table.sign(detect::RaceKind::Html, Log, First, ToY);
+  uint32_t FromX = Table.sign(detect::RaceKind::Html, Log, ToX, ToY);
+  uint32_t ToZ = Table.sign(detect::RaceKind::Variable, Log, ToX, First);
   EXPECT_NE(OnX, OnY);
   EXPECT_EQ(Table.signature(OnX).Location, "var global.x");
   EXPECT_EQ(Table.signature(OnY).Location, "elem #y");
+  EXPECT_EQ(Table.signature(FromX).Location, "elem #y");
+  EXPECT_EQ(Table.signature(ToZ).Location, "var global.z");
 }
 
 TEST(GlobTest, Matching) {
@@ -418,8 +438,7 @@ private:
 };
 
 TEST(BatchTest, ByteIdenticalAcrossJobCountsAndCountsReconcile) {
-  fs::path Dir =
-      fs::temp_directory_path() / "wr_triage_test_batch";
+  fs::path Dir = uniqueTempDir("wr_triage_test_batch");
   fs::remove_all(Dir);
   sites::GeneratedSite Site = patternSite(
       "batch-site", {{sites::PatternKind::FormValueHarmful, 1}});
@@ -459,8 +478,7 @@ TEST(BatchTest, ByteIdenticalAcrossJobCountsAndCountsReconcile) {
 }
 
 TEST(BatchTest, UnreadableTraceIsReportedNotSilent) {
-  fs::path Dir =
-      fs::temp_directory_path() / "wr_triage_test_badtrace";
+  fs::path Dir = uniqueTempDir("wr_triage_test_badtrace");
   fs::remove_all(Dir);
   fs::create_directories(Dir);
   std::ofstream(Dir / "bad.wrt", std::ios::binary) << "not a trace";
@@ -483,7 +501,7 @@ TEST(BatchTest, MalformedTraceFailsAloneUnderPrediction) {
   // A trace that decodes byte-wise but names an operation it never
   // created: rejected by the decoder, counted as failed, and the good
   // traces beside it still replay and predict.
-  fs::path Dir = fs::temp_directory_path() / "wr_triage_test_malformed";
+  fs::path Dir = uniqueTempDir("wr_triage_test_malformed");
   fs::remove_all(Dir);
   recordCorpusTraces(Dir, 3);
   TraceLog Bad;
@@ -514,7 +532,7 @@ TEST(BatchTest, MalformedTraceFailsAloneUnderPrediction) {
 }
 
 TEST(BatchTest, SuppressionRemovesGroupAndSurfacesInCounts) {
-  fs::path Dir = fs::temp_directory_path() / "wr_triage_test_sup";
+  fs::path Dir = uniqueTempDir("wr_triage_test_sup");
   fs::remove_all(Dir);
   sites::GeneratedSite Site = patternSite(
       "batch-sup", {{sites::PatternKind::FormValueHarmful, 1},
@@ -552,7 +570,7 @@ TEST(BatchTest, SuppressionRemovesGroupAndSurfacesInCounts) {
 }
 
 TEST(BatchTest, PredictedByteIdenticalAcrossJobCountsAndCountsReconcile) {
-  fs::path Dir = fs::temp_directory_path() / "wr_triage_test_predicted";
+  fs::path Dir = uniqueTempDir("wr_triage_test_predicted");
   fs::remove_all(Dir);
   recordCorpusTraces(Dir, 6);
   std::vector<std::string> Paths = tracePaths(Dir);
@@ -587,7 +605,7 @@ TEST(BatchTest, PredictedByteIdenticalAcrossJobCountsAndCountsReconcile) {
 }
 
 TEST(BatchTest, SuppressingPredictedOnlyGroupLeavesFilterAttrition) {
-  fs::path Dir = fs::temp_directory_path() / "wr_triage_test_predsup";
+  fs::path Dir = uniqueTempDir("wr_triage_test_predsup");
   fs::remove_all(Dir);
   recordCorpusTraces(Dir, 4);
   std::vector<std::string> Paths = tracePaths(Dir);
@@ -646,7 +664,7 @@ TEST(BatchTest, PredictedReportMatchesGoldenFile) {
   std::string Error;
   ASSERT_TRUE(triage::SuppressionFile::parse(Text, File, Error)) << Error;
 
-  fs::path Root = fs::temp_directory_path() / "wr_triage_test_golden";
+  fs::path Root = uniqueTempDir("wr_triage_test_golden");
   fs::remove_all(Root);
   recordCorpusTraces(Root / "traces", 8);
   triage::BatchResult R;
