@@ -80,6 +80,11 @@ bool RaceDetector::priorConcurrent(const Slot &S, OpId Current) {
 
 RaceKind wr::detect::classifyRace(const Access &First, const Access &Second,
                                   const Location &Loc) {
+  return classifyRace(Loc, First.Origin == AccessOrigin::FunctionDecl ||
+                               Second.Origin == AccessOrigin::FunctionDecl);
+}
+
+RaceKind wr::detect::classifyRace(const Location &Loc, bool FunctionDecl) {
   if (std::holds_alternative<EventHandlerLoc>(Loc))
     return RaceKind::EventDispatch;
   if (std::holds_alternative<HtmlElemLoc>(Loc))
@@ -87,10 +92,7 @@ RaceKind wr::detect::classifyRace(const Access &First, const Access &Second,
   // A variable race where the write side is a hoisted function
   // declaration (or the read resolves a call target racing with one) is a
   // *function race* (Sec. 2.4).
-  if (First.Origin == AccessOrigin::FunctionDecl ||
-      Second.Origin == AccessOrigin::FunctionDecl)
-    return RaceKind::Function;
-  return RaceKind::Variable;
+  return FunctionDecl ? RaceKind::Function : RaceKind::Variable;
 }
 
 void RaceDetector::report(LocState &St, const Slot &Prior,

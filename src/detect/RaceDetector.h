@@ -87,6 +87,10 @@ struct DetectorOptions {
 RaceKind classifyRace(const Access &First, const Access &Second,
                       const Location &Loc);
 
+/// The same taxonomy from the location and whether either access's
+/// origin is AccessOrigin::FunctionDecl: all the pair form reads.
+RaceKind classifyRace(const Location &Loc, bool FunctionDecl);
+
 /// The dynamic race detector; attach to a Browser as an instrumentation
 /// sink. \p Interner must be the interner that assigned the LocIds the
 /// sink will observe (the browser's online, the trace's offline) and must

@@ -116,6 +116,10 @@ TraceIngest wr::triage::ingestTraceFile(const std::string &Path,
   constexpr uint32_t NoSlot = ~0u;
   std::vector<uint32_t> SlotOf; // By table index.
   const std::vector<TraceEvent> &Events = Log.events();
+  size_t Findings = 0;
+  for (const detect::PredictionPass &P : Passes)
+    Findings += P.Pairs.size();
+  In.Predicted.reserve(Findings);
   for (const detect::PredictionPass &P : Passes) {
     for (const detect::PredictedPair &Pair : P.Pairs) {
       if (Pair.Verdict != detect::PredictionVerdict::Predicted)

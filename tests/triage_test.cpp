@@ -206,6 +206,72 @@ TEST(SignatureTest, TableAgreesWithOneShotAndSharesIndices) {
   fs::remove_all(Dir);
 }
 
+TEST(SignatureTest, TableAnswersDoNotDependOnPairOrder) {
+  // A table may remember the last key or anything else about the pairs
+  // signed so far; its answers must not depend on the order they arrive
+  // in. Every predicted pair of the first 25 corpus traces is signed
+  // through two fresh tables, in trace order and in a seeded shuffle, and
+  // must get its materialized race's computeSignature both ways.
+  fs::path Dir = uniqueTempDir("wr_triage_test_order");
+  fs::remove_all(Dir);
+  recordCorpusTraces(Dir, 25);
+  Rng Shuffle(2012);
+  size_t Signed = 0, Mismatches = 0;
+  std::string FirstMismatch;
+  for (const std::string &Path : tracePaths(Dir)) {
+    std::ifstream File(Path, std::ios::binary);
+    std::ostringstream Bytes;
+    Bytes << File.rdbuf();
+    TraceLog Log;
+    std::string Error;
+    ASSERT_TRUE(TraceLog::deserialize(Bytes.str(), Log, &Error)) << Error;
+    detect::ReplayResult Result = detect::replayTrace(Log);
+    std::vector<detect::PredictionPass> Passes;
+    detect::predictAll(Log, Result.RawRaces, Passes, Result.Stats);
+
+    std::vector<detect::PredictedPair> Pairs;
+    std::vector<detect::Race> Races;
+    for (const detect::PredictionPass &P : Passes) {
+      detect::PredictionResult Built = detect::materialize(Log, P);
+      Pairs.insert(Pairs.end(), P.Pairs.begin(), P.Pairs.end());
+      for (const detect::PredictedRace &PR : Built.Races)
+        Races.push_back(PR.R);
+    }
+    std::vector<size_t> Order(Pairs.size());
+    for (size_t I = 0; I < Order.size(); ++I)
+      Order[I] = I;
+    for (size_t I = Order.size(); I > 1; --I)
+      std::swap(Order[I - 1], Order[Shuffle.nextBelow(I)]);
+
+    triage::SignatureTable InOrder(Result.Hb), Shuffled(Result.Hb);
+    auto Sign = [&](triage::SignatureTable &Table, size_t I) {
+      const detect::PredictedPair &Pair = Pairs[I];
+      return Table.sign(Pair.Kind, Log, Pair.FirstEvent, Pair.SecondEvent);
+    };
+    std::vector<uint32_t> Forward(Pairs.size()), Mixed(Pairs.size());
+    for (size_t I = 0; I < Pairs.size(); ++I)
+      Forward[I] = Sign(InOrder, I);
+    for (size_t I : Order)
+      Mixed[I] = Sign(Shuffled, I);
+    for (size_t I = 0; I < Pairs.size(); ++I) {
+      triage::RaceSignature Expected =
+          triage::computeSignature(Races[I], Result.Hb);
+      if (InOrder.signature(Forward[I]) != Expected ||
+          Shuffled.signature(Mixed[I]) != Expected) {
+        if (Mismatches++ == 0)
+          FirstMismatch = Path + " pair " + std::to_string(I) + ": " +
+                          InOrder.signature(Forward[I]).text() + " / " +
+                          Shuffled.signature(Mixed[I]).text() +
+                          ", expected " + Expected.text();
+      }
+      ++Signed;
+    }
+  }
+  EXPECT_EQ(Mismatches, 0u) << FirstMismatch;
+  EXPECT_GT(Signed, 10000u);
+  fs::remove_all(Dir);
+}
+
 TEST(SignatureTest, TableKeysEndpointsOnAccessKindAndOrigin) {
   // One operation reading a location plainly and as a call target, and
   // writing it: each access is its own endpoint, so the table must not
